@@ -248,7 +248,7 @@ let iss_compare () =
   let bench = Sfi_kernels.Median.create ~n:129 () in
   let run engine = Sfi_kernels.Bench.run_fault_free ~engine bench in
   let istats, iout = run C.Interp in
-  let cstats, cout = run C.Compiled in
+  let cstats, cout = run C.Auto in
   if istats <> cstats || iout <> cout then
     failwith "iss compare: compiled engine diverged from the interpreter";
   let insns = istats.C.instret in
@@ -266,7 +266,7 @@ let iss_compare () =
     !best /. float_of_int reps
   in
   let interp_wall_s = time C.Interp in
-  let compiled_wall_s = time C.Compiled in
+  let compiled_wall_s = time C.Auto in
   let per_sec wall = float_of_int insns /. Float.max 1e-9 wall in
   let r =
     {
@@ -332,7 +332,8 @@ let kernel_compare ~cycles () =
     let run engine =
       let ev0 = counter_value "dta.events" + counter_value "bitsim.lane_events" in
       let t0 = Unix.gettimeofday () in
-      let db = Sfi_timing.Characterize.run ~cycles ~jobs:1 ~engine ~vdd:0.7 alu in
+      let spec = Spec.(default |> with_jobs 1) in
+      let db = Sfi_timing.Characterize.run ~cycles ~spec ~engine ~vdd:0.7 alu in
       let wall = Unix.gettimeofday () -. t0 in
       let events =
         counter_value "dta.events" + counter_value "bitsim.lane_events" - ev0
@@ -340,7 +341,7 @@ let kernel_compare ~cycles () =
       (db, wall, events)
     in
     let sdb, scalar_wall_s, s_events = run Sfi_timing.Characterize.Scalar in
-    let pdb, packed_wall_s, p_events = run Sfi_timing.Characterize.Packed in
+    let pdb, packed_wall_s, p_events = run Sfi_timing.Characterize.Auto in
     if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
       failwith "kernel compare: packed database differs from scalar";
     let per_sec ev wall = float_of_int ev /. Float.max 1e-9 wall in
@@ -623,7 +624,7 @@ let fastforward_compare () =
   let e0 = Sfi_obs.Counter.value c_elided in
   let r0 = Sfi_obs.Counter.value c_restores in
   let p_full, full_wall_s = best Spec.Off in
-  let p_ff, ff_wall_s = best Spec.On in
+  let p_ff, ff_wall_s = best Spec.Auto in
   if not (points_equal [ p_full ] [ p_ff ]) then
     failwith "fastforward compare: fast-forwarded point differs from full replay";
   let r =

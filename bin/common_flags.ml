@@ -22,8 +22,13 @@ let apply_jobs jobs =
         exit 2);
       Sfi_util.Pool.set_default_jobs n)
     jobs;
-  Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!"
-    (Sfi_util.Pool.default_jobs ())
+  let n =
+    try Sfi_util.Pool.default_jobs ()
+    with Invalid_argument msg ->
+      Printf.eprintf "sfi: %s\n" msg;
+      exit 2
+  in
+  Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!" n
     (Domain.recommended_domain_count ())
 
 (* --obs: enables the observability registry for the run and writes the
@@ -63,42 +68,6 @@ let cache_dir_arg =
                  (default: \\$SFI_CACHE_DIR, else disabled).")
 
 let apply_cache_dir dir = Option.iter (fun d -> Sfi_cache.set_dir (Some d)) dir
-
-(* --engine: selects the characterization kernel. Results are
-   bit-identical either way (pinned by the differential tests), so this
-   is purely a performance knob; it does not enter cache fingerprints. *)
-let engine_arg =
-  let module C = Sfi_timing.Characterize in
-  Arg.(value
-       & opt (some (enum [ ("auto", C.Auto); ("scalar", C.Scalar); ("packed", C.Packed) ]))
-           None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Characterization kernel: $(b,packed) evaluates 63 trials per \
-                 gate operation bit-parallel, $(b,scalar) runs one DTA cycle \
-                 per trial, $(b,auto) picks packed when the platform supports \
-                 it. Databases are bit-identical across engines (default: \
-                 \\$SFI_ENGINE, else auto).")
-
-let apply_engine engine =
-  Option.iter Sfi_timing.Characterize.set_default_engine engine
-
-(* --cpu-engine: selects the ISS engine. The compiled engine is
-   cycle-for-cycle bit-identical to the interpreter (pinned by the
-   engine-parity tests), so like --engine this is purely a performance
-   knob; it does not enter cache fingerprints or checkpoints. *)
-let cpu_engine_arg =
-  let module C = Sfi_sim.Cpu in
-  Arg.(value
-       & opt (some (enum [ ("auto", C.Auto); ("interp", C.Interp); ("compiled", C.Compiled) ]))
-           None
-       & info [ "cpu-engine" ] ~docv:"ENGINE"
-           ~doc:"ISS engine: $(b,compiled) executes basic blocks as cached \
-                 threaded code, $(b,interp) decodes and dispatches one \
-                 instruction at a time, $(b,auto) picks compiled. Cycle \
-                 counts, outcomes and injected-fault streams are bit-identical \
-                 across engines (default: \\$SFI_CPU_ENGINE, else auto).")
-
-let apply_cpu_engine engine = Option.iter Sfi_sim.Cpu.set_default_engine engine
 
 (* ---------- campaign spec flags ---------- *)
 
@@ -147,20 +116,6 @@ let checkpoint_arg =
                  schema sfi-ckpt/1); a killed run restarted with the same \
                  parameters resumes from it bit-identically.")
 
-let fastforward_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Spec.Auto); ("off", Spec.Off); ("on", Spec.On) ])
-           Spec.Auto
-       & info [ "fastforward" ] ~docv:"MODE"
-           ~doc:"Snapshot fast-forward: $(b,on) records sparse snapshots of the \
-                 fault-free reference run (cached as sfi-snap/1), resolves \
-                 provably fault-free trials analytically and simulates only \
-                 the post-first-fault suffix of the rest; $(b,off) fully \
-                 replays every trial. Results, det signatures and checkpoints \
-                 are bit-identical across modes, so like the engine knobs this \
-                 is purely a performance switch ($(b,auto): \
-                 \\$SFI_FASTFORWARD, else off).")
-
 (* Builds the campaign spec from the shared flags. [fixed_trials] is the
    sweep's nominal per-point count (e.g. the campaign --trials value);
    when absent the policy template keeps Spec.default's count and the
@@ -171,9 +126,8 @@ let fastforward_arg =
    save trials relative to a fixed run, never spend more). Without a
    nominal count the template ceiling starts at the batch size and
    [with_nominal_trials] lifts it to each figure's count. *)
-let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint
-    ~fastforward () =
-  let spec = Spec.default |> Spec.with_seed seed |> Spec.with_fastforward fastforward in
+let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint () =
+  let spec = Spec.default |> Spec.with_seed seed in
   let spec =
     if adaptive then begin
       let ceiling =
@@ -199,17 +153,14 @@ let make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~check
    Invalid combinations (non-positive counts or targets) exit 2 with the
    validation message. *)
 let spec_flags =
-  let build seed adaptive batch max_trials ci_target checkpoint fastforward
-      ?fixed_trials () =
-    try
-      make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint
-        ~fastforward ()
+  let build seed adaptive batch max_trials ci_target checkpoint ?fixed_trials () =
+    try make_spec ?fixed_trials ~seed ~adaptive ~batch ~max_trials ~ci_target ~checkpoint ()
     with Invalid_argument msg ->
       Printf.eprintf "sfi: %s\n" msg;
       exit 2
   in
   Term.(const build $ seed_arg $ adaptive_arg $ batch_arg $ max_trials_arg
-        $ ci_target_arg $ checkpoint_arg $ fastforward_arg)
+        $ ci_target_arg $ checkpoint_arg)
 
 (* ---------- fault-model flags ---------- *)
 

@@ -23,14 +23,6 @@ let cache_dir_arg = Common_flags.cache_dir_arg
 
 let apply_cache_dir = Common_flags.apply_cache_dir
 
-let engine_arg = Common_flags.engine_arg
-
-let apply_engine = Common_flags.apply_engine
-
-let cpu_engine_arg = Common_flags.cpu_engine_arg
-
-let apply_cpu_engine = Common_flags.apply_cpu_engine
-
 (* ---------- sfi experiments ---------- *)
 
 let experiments_cmd =
@@ -41,7 +33,7 @@ let experiments_cmd =
     Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale Monte-Carlo settings (slow).")
   in
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.") in
-  let run ids paper list_only jobs obs cache_dir engine cpu_engine
+  let run ids paper list_only jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     if list_only then
       List.iter
@@ -50,8 +42,6 @@ let experiments_cmd =
     else begin
       apply_jobs jobs;
       apply_cache_dir cache_dir;
-      apply_engine engine;
-      apply_cpu_engine cpu_engine;
       with_obs obs @@ fun () ->
       let scale = if paper then Sfi_core.Experiments.paper else Sfi_core.Experiments.fast in
       (* No nominal count here: each figure scales the policy template to
@@ -64,7 +54,7 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures.")
     Term.(const run $ ids $ paper $ list_only $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg $ cpu_engine_arg $ Common_flags.spec_flags)
+          $ Common_flags.spec_flags)
 
 (* ---------- sfi flow ---------- *)
 
@@ -78,10 +68,9 @@ let flow_cmd =
          & opt int Sfi_core.Flow.default_config.Sfi_core.Flow.char_seed
          & info [ "seed" ] ~docv:"N" ~doc:"Characterization RNG seed.")
   in
-  let run char_cycles vdd seed jobs obs cache_dir engine =
+  let run char_cycles vdd seed jobs obs cache_dir =
     apply_jobs jobs;
     apply_cache_dir cache_dir;
-    apply_engine engine;
     with_obs obs @@ fun () ->
     let config =
       {
@@ -103,8 +92,7 @@ let flow_cmd =
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Build the gate-level flow and print its timing summary.")
-    Term.(const run $ char_cycles $ vdd $ seed $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg)
+    Term.(const run $ char_cycles $ vdd $ seed $ jobs_arg $ obs_arg $ cache_dir_arg)
 
 (* ---------- sfi asm ---------- *)
 
@@ -139,8 +127,7 @@ let run_cmd =
     Arg.(value & opt (some string) None
          & info [ "dump" ] ~docv:"ADDR:COUNT" ~doc:"Dump COUNT words from ADDR after the run.")
   in
-  let run file max_cycles mem_size dump cpu_engine =
-    apply_cpu_engine cpu_engine;
+  let run file max_cycles mem_size dump =
     let program = Sfi_isa.Asm.assemble_exn (read_file file) in
     let mem = Sfi_sim.Memory.create ~size:mem_size in
     Sfi_sim.Memory.load_program mem program;
@@ -172,7 +159,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the cycle-accurate ISS.")
-    Term.(const run $ file $ max_cycles $ mem_size $ dump $ cpu_engine_arg)
+    Term.(const run $ file $ max_cycles $ mem_size $ dump)
 
 (* ---------- sfi campaign ---------- *)
 
@@ -201,12 +188,10 @@ let campaign_cmd =
              ~doc:"Also write the sweep as JSON (schema sfi-point/1).")
   in
   let run bench_name model_name model_params vdd sigma_mv trials lo hi step prob
-      char_cycles csv json jobs obs cache_dir engine cpu_engine
+      char_cycles csv json jobs obs cache_dir
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     apply_jobs jobs;
     apply_cache_dir cache_dir;
-    apply_engine engine;
-    apply_cpu_engine cpu_engine;
     with_obs obs @@ fun () ->
     match Sfi_kernels.Registry.by_name bench_name with
     | None ->
@@ -313,7 +298,7 @@ let campaign_cmd =
     Term.(const run $ bench_name $ Common_flags.model_arg $ Common_flags.model_param_arg
           $ vdd $ sigma_mv $ trials $ lo $ hi $ step
           $ prob $ char_cycles $ csv $ json $ jobs_arg $ obs_arg $ cache_dir_arg
-          $ engine_arg $ cpu_engine_arg $ Common_flags.spec_flags)
+          $ Common_flags.spec_flags)
 
 (* ---------- sfi stats ---------- *)
 
@@ -595,8 +580,7 @@ let paths_cmd =
 let trace_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let limit = Arg.(value & opt int 50 & info [ "n" ] ~doc:"Instructions to trace.") in
-  let run file limit cpu_engine =
-    apply_cpu_engine cpu_engine;
+  let run file limit =
     let program = Sfi_isa.Asm.assemble_exn (read_file file) in
     let mem = Sfi_sim.Memory.create ~size:65536 in
     Sfi_sim.Memory.load_program mem program;
@@ -617,7 +601,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Execute a program and print the first N retired instructions.")
-    Term.(const run $ file $ limit $ cpu_engine_arg)
+    Term.(const run $ file $ limit)
 
 (* ---------- sfi models ---------- *)
 

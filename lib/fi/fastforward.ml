@@ -33,7 +33,7 @@ open Sfi_kernels
 
 (* Work accounting. Everything here measures elided or replayed work,
    not results — det:false like the cache/cpu/injector work families, so
-   fast-forward On and Off keep identical det signatures. *)
+   fast-forward and full replay keep identical det signatures. *)
 let obs_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"
 
 let obs_restores = Sfi_obs.Counter.make ~det:false "fastforward.restores"
@@ -67,15 +67,12 @@ type trace = {
   ref_output : U32.t array;
 }
 
-(* The snapshot stride knob: finer strides shrink the replayed
+(* The snapshot stride: finer strides shrink the replayed
    prefix-to-fault window of suffix trials but grow the trace (and its
    recording cost); the default aims at ~128 snapshots per program,
    which keeps the average replayed window under 0.5 % of the program
    while a 64 KiB image yields traces of at most a few MiB. *)
-let stride_for ~ref_cycles =
-  match Option.bind (Sys.getenv_opt "SFI_SNAP_STRIDE") int_of_string_opt with
-  | Some s when s > 0 -> s
-  | _ -> max 64 (ref_cycles / 128)
+let stride_for ~ref_cycles = max 64 (ref_cycles / 128)
 
 (* Dense class list for decoding [sched_cls] (Op_class has index/all but
    no inverse). *)

@@ -26,7 +26,7 @@ val page_size : int
 
 val stride_for : ref_cycles:int -> int
 (** Snapshot stride for a program of [ref_cycles] fault-free cycles:
-    [max 64 (ref_cycles / 128)], overridable via [SFI_SNAP_STRIDE].
+    [max 64 (ref_cycles / 128)].
     Finer strides shrink the replayed snapshot-to-fault window; coarser
     ones shrink the trace. *)
 

@@ -302,11 +302,15 @@ let dls_key =
       Mutex.protect lock (fun () -> shards := s :: !shards);
       s)
 
-let enabled_ref =
-  ref
-    (match Sys.getenv_opt "SFI_OBS" with
-    | Some ("1" | "true" | "on" | "yes") -> true
-    | _ -> false)
+let env_enabled () =
+  match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_OBS") with
+  | None | Some ("" | "0" | "false" | "off" | "no") -> false
+  | Some ("1" | "true" | "on" | "yes") -> true
+  | Some s ->
+    invalid_arg
+      (Printf.sprintf "SFI_OBS=%S: expected 1/true/on/yes, 0/false/off/no or empty" s)
+
+let enabled_ref = ref (env_enabled ())
 
 let enabled () = !enabled_ref
 

@@ -42,9 +42,13 @@ module Json : sig
 end
 
 val enabled : unit -> bool
-(** Whether metrics are being recorded. Initially true iff the
-    [SFI_OBS] environment variable is ["1"], ["true"], ["on"] or
-    ["yes"]. *)
+(** Whether metrics are being recorded. Initially {!env_enabled}. *)
+
+val env_enabled : unit -> bool
+(** The [SFI_OBS] environment variable: [true] for ["1"], ["true"],
+    ["on"] or ["yes"]; [false] when unset, empty, ["0"], ["false"],
+    ["off"] or ["no"] (case-insensitive). Any other value raises
+    [Invalid_argument] naming the variable and the accepted values. *)
 
 val set_enabled : bool -> unit
 

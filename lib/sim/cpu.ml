@@ -33,22 +33,15 @@ type stats = {
   taken_branches : int;
 }
 
-type engine = Auto | Interp | Compiled
+type engine = Auto | Interp
 
-(* Process-wide default, following the Characterize.default_engine /
-   Pool.set_default_jobs idiom so the CLI flag (and SFI_CPU_ENGINE, for
-   harnesses without their own flag plumbing, e.g. the golden tests
-   under CI's compiled leg) reaches every simulation in the process. *)
-let default_engine =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_CPU_ENGINE") with
-    | Some "interp" -> Interp
-    | Some "compiled" -> Compiled
-    | _ -> Auto)
+(* Process-wide default for runs that get no [?engine]; only tests
+   switch it, to run whole harnesses under the reference interpreter. *)
+let default_engine = ref Auto
 
 let set_default_engine e = default_engine := e
 
-let engine_name = function Auto -> "auto" | Interp -> "interp" | Compiled -> "compiled"
+let engine_name = function Auto -> "auto" | Interp -> "interp"
 
 (* Engine-dependent work counters (how the result was computed, not
    what was computed), det:false like the bitsim.* family so cold/warm
@@ -1287,7 +1280,7 @@ let snapshot_cycle (s : snapshot) = s.snap_cycle
 
 let run ?(config = default_config) ?engine ?resume mem ~entry =
   let engine = match engine with Some e -> e | None -> !default_engine in
-  let compiled = match engine with Interp -> false | Auto | Compiled -> true in
+  let compiled = match engine with Interp -> false | Auto -> true in
   let size = Memory.size mem in
   (* Memory.create already rejects these; re-checked here because the
      fetch wrap and invalidate mask silently alias wrong addresses on a

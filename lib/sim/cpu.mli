@@ -81,15 +81,14 @@ type stats = {
 }
 
 type engine =
-  | Auto      (** resolves to [Compiled] *)
-  | Interp    (** per-instruction micro-op interpreter *)
-  | Compiled  (** threaded-code basic-block trace cache *)
+  | Auto    (** threaded-code basic-block trace cache, the production engine *)
+  | Interp  (** per-instruction micro-op interpreter: the test reference,
+                also used to record fast-forward traces *)
 
 val set_default_engine : engine -> unit
-(** Sets the process-wide engine used when {!run} gets no [?engine]
-    (the [--cpu-engine] flag lands here). The initial default is
-    [Auto], overridable by the [SFI_CPU_ENGINE] environment variable
-    ("interp" or "compiled"). *)
+(** Sets the process-wide engine used when {!run} gets no [?engine].
+    The initial default is [Auto]; tests switch it to run whole
+    harnesses under [Interp]. *)
 
 val engine_name : engine -> string
 

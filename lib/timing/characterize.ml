@@ -24,23 +24,7 @@ let uniform8 =
     sample = (fun rng -> (Rng.bits32 rng land 0xFF, Rng.bits32 rng land 0xFF));
   }
 
-type engine = Auto | Scalar | Packed
-
-(* Process-wide default, following the Pool.set_default_jobs /
-   Sfi_cache.set_dir idiom so CLI flags (and the SFI_ENGINE variable,
-   for harnesses without their own flag plumbing, e.g. the golden tests
-   under CI's packed leg) reach every characterization in the
-   process. *)
-let default_engine =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_ENGINE") with
-    | Some "scalar" -> Scalar
-    | Some "packed" -> Packed
-    | _ -> Auto)
-
-let set_default_engine e = default_engine := e
-
-let engine_name = function Auto -> "auto" | Scalar -> "scalar" | Packed -> "packed"
+type engine = Auto | Scalar
 
 let obs_runs = Sfi_obs.Counter.make "characterize.runs"
 
@@ -59,7 +43,7 @@ let obs_wall = Sfi_obs.Span.make "characterize.wall"
 (* Packed-kernel utilization: [bitsim.lanes] sums the active lanes over
    [bitsim.batches] packed sweeps (their ratio against Bitsim.lanes is
    the fill factor; only the final partial batch of a class dilutes it).
-   [bitsim.fallbacks] counts packed requests served by the scalar
+   [bitsim.fallbacks] counts [Auto] requests served by the scalar
    kernel because the target lacks 63-bit words. All cache-dependent
    work counts, hence ~det:false like the dta.* family. *)
 let obs_batches = Sfi_obs.Counter.make ~det:false "bitsim.batches"
@@ -231,7 +215,7 @@ let characterize_class ~engine ~cycles ~rng ~vdd ~vdd_model ~lib ~profile alu cl
   let kernel =
     match engine with
     | Scalar -> characterize_class_scalar
-    | Auto | Packed ->
+    | Auto ->
       if Bitsim.available () then characterize_class_packed
       else begin
         (* Narrow native ints (32-bit / javascript targets): the packed
@@ -304,21 +288,16 @@ let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup
 
 let run ?(cycles = 8000) ?(seed = 0xD7A) ?(setup_ps = Sta.default_setup_ps)
     ?(vdd_model = Vdd_model.default) ?(lib = Cell_lib.default)
-    ?(profile_for = fun _ -> uniform32) ?jobs ?spec ?engine ~vdd (alu : Alu.t) =
+    ?(profile_for = fun _ -> uniform32) ?spec ?(engine = Auto) ~vdd (alu : Alu.t) =
   if cycles <= 0 then invalid_arg "Characterize.run: cycles must be positive";
-  (* Resolved at call time so set_default_engine between runs takes
-     effect; the engine deliberately stays OUT of the cache fingerprint
-     below — both kernels produce bit-identical databases, so an entry
-     written under one engine must be served to the other. *)
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  (* A spec's job count wins over the legacy [?jobs] knob; its other
-     fields (trial policy, seed, checkpoint) describe Monte-Carlo
-     campaigns and do not apply to characterization — in particular the
-     characterization seed stays [?seed], keeping chardb cache
-     fingerprints stable across campaign-spec changes. *)
-  let jobs =
-    match spec with Some (s : Spec.t) -> s.Spec.jobs | None -> jobs
-  in
+  (* The engine deliberately stays OUT of the cache fingerprint below:
+     both kernels produce bit-identical databases, so an entry written
+     under one engine must be served to the other. Of the spec only the
+     job count applies here: its trial policy, seed and checkpoint
+     describe Monte-Carlo campaigns — in particular the characterization
+     seed stays [?seed], keeping chardb cache fingerprints stable across
+     campaign-spec changes. *)
+  let jobs = Option.bind spec (fun (s : Spec.t) -> s.Spec.jobs) in
   Sfi_obs.Counter.incr obs_runs;
   Sfi_obs.Span.time obs_wall @@ fun () ->
   let key =

@@ -33,22 +33,14 @@ val uniform16 : operand_profile
 val uniform8 : operand_profile
 
 type engine =
-  | Auto  (** {!Packed} when {!Sfi_netlist.Bitsim.available}, else scalar *)
-  | Scalar  (** one {!Dta} cycle per trial *)
-  | Packed
-      (** {!Dta_packed}: ⌈cycles/lanes⌉ bit-parallel sweeps; produces a
-          bit-identical database (same RNG stream — lane operands are
-          sampled in trial order — and per-lane event times equal to the
-          scalar kernel's). Falls back to scalar, counted in the
-          [bitsim.fallbacks] counter, on targets without 63-bit words. *)
-
-val set_default_engine : engine -> unit
-(** Sets the process-wide engine used when {!run} gets no [?engine]
-    (the [--engine] flag lands here). The initial default is [Auto],
-    overridable by the [SFI_ENGINE] environment variable ([scalar],
-    [packed], anything else [Auto]). *)
-
-val engine_name : engine -> string
+  | Auto
+      (** {!Dta_packed}, the production kernel: ⌈cycles/lanes⌉
+          bit-parallel sweeps producing a bit-identical database (same
+          RNG stream — lane operands are sampled in trial order — and
+          per-lane event times equal to the scalar kernel's). Falls back
+          to [Scalar], counted in the [bitsim.fallbacks] counter, when
+          {!Sfi_netlist.Bitsim.available} is false. *)
+  | Scalar  (** one {!Dta} cycle per trial: the test reference *)
 
 type class_db = {
   cls : Op_class.t;
@@ -78,7 +70,6 @@ val run :
   ?vdd_model:Vdd_model.t ->
   ?lib:Cell_lib.t ->
   ?profile_for:(Op_class.t -> operand_profile) ->
-  ?jobs:int ->
   ?spec:Spec.t ->
   ?engine:engine ->
   vdd:float ->
@@ -97,12 +88,9 @@ val run :
     [spec]'s [jobs] field when a {!Sfi_util.Spec.t} is given (its other
     fields are ignored here: the characterization seed stays [seed], so
     chardb cache fingerprints do not depend on campaign specs);
-    otherwise from the deprecated [jobs] argument; otherwise
-    [Sfi_util.Pool.default_jobs ()]. Prefer [spec] — [jobs] remains only
-    for source compatibility.
+    otherwise [Sfi_util.Pool.default_jobs ()].
 
-    [engine] (default: the {!set_default_engine} value) picks the
-    characterization kernel. Both engines produce bit-identical
+    [engine] (default [Auto]) picks the characterization kernel. Both engines produce bit-identical
     databases, so the persistent-cache fingerprint does NOT include the
     engine: a database written under one engine is a cache hit for the
     other. *)

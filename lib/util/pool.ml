@@ -158,12 +158,12 @@ let parallel_init t n f =
 let override = Atomic.make 0 (* 0 = no override *)
 
 let env_jobs () =
-  match Sys.getenv_opt "SFI_JOBS" with
-  | None -> None
+  match Option.map String.trim (Sys.getenv_opt "SFI_JOBS") with
+  | None | Some "" -> None
   | Some s -> (
-    match int_of_string_opt (String.trim s) with
+    match int_of_string_opt s with
     | Some n when n >= 1 -> Some n
-    | _ -> None)
+    | _ -> invalid_arg (Printf.sprintf "SFI_JOBS=%S: expected a positive integer" s))
 
 let default_jobs () =
   let o = Atomic.get override in

@@ -25,15 +25,16 @@ type trials_policy =
           intervals must reach. *)
 
 type fastforward =
-  | Auto  (** defer to [SFI_FASTFORWARD] ("1"/"on"/"true"/"yes"); else Off *)
-  | Off   (** full replay: every trial simulates from cycle 0 *)
-  | On
-      (** snapshot fast-forward: trials restore the reference run's
-          nearest snapshot before their first fault and simulate only
-          the suffix; fault-free trials are resolved analytically.
+  | Auto
+      (** snapshot fast-forward, the production path: trials restore the
+          reference run's nearest snapshot before their first fault and
+          simulate only the suffix; fault-free trials are resolved
+          analytically. A point falls back to full replay when its model
+          is cycle-dependent or its reference run does not exit cleanly.
           Bit-identical to [Off] by contract (results, det signatures
           and checkpoint records), so checkpoints and sweeps mix modes
           freely. *)
+  | Off   (** full replay, the test reference: every trial simulates from cycle 0 *)
 
 type t = {
   trials : trials_policy;
@@ -49,7 +50,7 @@ type t = {
 
 val default : t
 (** [Fixed 100] trials (the paper's minimum per data point), seed 1, the
-    pool's default job count, no checkpoint. *)
+    pool's default job count, no checkpoint, fast-forward [Auto]. *)
 
 val with_trials : int -> t -> t
 val with_adaptive : ?batch:int -> ?max_trials:int -> ?ci_target:float -> t -> t
@@ -62,10 +63,7 @@ val without_checkpoint : t -> t
 val with_fastforward : fastforward -> t -> t
 
 val resolve_fastforward : fastforward -> bool
-(** [true] when the mode (after [Auto]'s environment lookup) enables
-    snapshot fast-forward. *)
-
-val fastforward_name : fastforward -> string
+(** [true] when the mode enables snapshot fast-forward, i.e. for [Auto]. *)
 
 val with_nominal_trials : int -> t -> t
 (** [with_nominal_trials n t]: [Fixed _] becomes [Fixed n]; [Adaptive]

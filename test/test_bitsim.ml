@@ -213,7 +213,7 @@ let test_packed_db_bit_identical () =
       Characterize.run ~cycles:150 ~seed:97 ~profile_for ~engine ~vdd:0.7 alu
     in
     let scalar = run Characterize.Scalar in
-    let packed = run Characterize.Packed in
+    let packed = run Characterize.Auto in
     (* Bit-identity of the full database: every per-class CDF, the raw
        cycle_arrivals matrices and the settle maxima, via the marshalled
        bytes (floats compared representation-exact). *)
@@ -246,20 +246,31 @@ let test_packed_partial_batches () =
         Alcotest.(check bool)
           (Printf.sprintf "bit-identical at %d cycles" cycles)
           true
-          (db_bytes (run Characterize.Scalar) = db_bytes (run Characterize.Packed)))
+          (db_bytes (run Characterize.Scalar) = db_bytes (run Characterize.Auto)))
       [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
   end
 
-(* Auto must behave exactly like the resolved engine (packed here). *)
+(* Auto is the packed kernel where the platform has 63-bit words and a
+   counted scalar fallback elsewhere; either way its database equals the
+   scalar reference. *)
 let test_auto_resolves () =
   let alu = Lazy.force sized_alu in
-  let auto = Characterize.run ~cycles:80 ~seed:12 ~engine:Characterize.Auto ~vdd:0.7 alu in
-  let explicit =
-    Characterize.run ~cycles:80 ~seed:12 ~vdd:0.7 alu
-      ~engine:(if Bitsim.available () then Characterize.Packed else Characterize.Scalar)
+  let run engine = Characterize.run ~cycles:80 ~seed:12 ~engine ~vdd:0.7 alu in
+  let counter name = Sfi_obs.Counter.make ~det:false name in
+  let batches = counter "bitsim.batches" and fallbacks = counter "bitsim.fallbacks" in
+  Sfi_obs.set_enabled true;
+  Sfi_obs.reset ();
+  let auto =
+    Fun.protect ~finally:(fun () -> Sfi_obs.set_enabled false) (fun () -> run Characterize.Auto)
   in
-  Alcotest.(check bool) "auto equals resolved engine" true
-    (db_bytes auto = db_bytes explicit)
+  if Bitsim.available () then begin
+    Alcotest.(check bool) "auto ran packed sweeps" true (Sfi_obs.Counter.value batches > 0);
+    Alcotest.(check int) "no scalar fallback" 0 (Sfi_obs.Counter.value fallbacks)
+  end
+  else
+    Alcotest.(check bool) "fallback counted" true (Sfi_obs.Counter.value fallbacks > 0);
+  Alcotest.(check bool) "auto equals scalar reference" true
+    (db_bytes auto = db_bytes (run Characterize.Scalar))
 
 let () =
   Alcotest.run "sfi_bitsim"

@@ -231,10 +231,12 @@ let test_scan_and_prune () =
 
 (* ---------- characterization: cold vs warm bit-identity ---------- *)
 
+let one_job = Sfi_util.Spec.(default |> with_jobs 1)
+
 let test_characterize_cold_warm () =
   with_temp_cache @@ fun dir ->
   let alu = Sfi_netlist.Alu.build () in
-  let run () = Characterize.run ~cycles:40 ~seed:11 ~jobs:1 ~vdd:0.7 alu in
+  let run () = Characterize.run ~cycles:40 ~seed:11 ~spec:one_job ~vdd:0.7 alu in
   Sfi_obs.reset ();
   let cold = run () in
   let sig_cold = Sfi_obs.det_signature () in
@@ -252,7 +254,7 @@ let test_characterize_cold_warm () =
 let test_characterize_corrupt_recompute () =
   with_temp_cache @@ fun dir ->
   let alu = Sfi_netlist.Alu.build () in
-  let run () = Characterize.run ~cycles:40 ~seed:11 ~jobs:1 ~vdd:0.7 alu in
+  let run () = Characterize.run ~cycles:40 ~seed:11 ~spec:one_job ~vdd:0.7 alu in
   let cold = run () in
   let path = Filename.concat dir (the_entry dir).Sfi_cache.file in
   ignore (corrupt_byte path 4096 : int);
@@ -263,6 +265,20 @@ let test_characterize_corrupt_recompute () =
   Alcotest.(check bool) "recompute performed trials" true (value c_trials > 0);
   (* The recompute re-stored a valid entry. *)
   Alcotest.(check bool) "entry rewritten valid" true (the_entry dir).Sfi_cache.valid
+
+(* The chardb fingerprint leaves the engine out (both kernels produce
+   bit-identical databases), so an entry written by the scalar reference
+   serves a production run without a single characterization trial. *)
+let test_characterize_scalar_serves_auto () =
+  with_temp_cache @@ fun _dir ->
+  let alu = Sfi_netlist.Alu.build () in
+  let run engine = Characterize.run ~cycles:40 ~seed:11 ~spec:one_job ~engine ~vdd:0.7 alu in
+  let scalar = run Characterize.Scalar in
+  Sfi_obs.reset ();
+  let auto = run Characterize.Auto in
+  Alcotest.(check bool) "auto db equals the scalar entry" true (compare scalar auto = 0);
+  Alcotest.(check int) "auto run performed zero trials" 0 (value c_trials);
+  Alcotest.(check int) "auto run hit the cache" 1 (value c_hits)
 
 (* ---------- end-to-end: flow + campaign, cold vs warm ---------- *)
 
@@ -346,6 +362,8 @@ let () =
             test_characterize_cold_warm;
           Alcotest.test_case "characterize corrupt entry recomputed" `Quick
             test_characterize_corrupt_recompute;
+          Alcotest.test_case "characterize scalar entry serves auto" `Quick
+            test_characterize_scalar_serves_auto;
           Alcotest.test_case "campaign cold/warm bit-identical" `Quick
             test_campaign_cold_warm;
           Alcotest.test_case "reference cycles shared on disk" `Quick

@@ -33,7 +33,7 @@ let check_stats_equal what (a : Cpu.stats) (b : Cpu.stats) =
    equality plus an optional memory-word probe. *)
 let parity ?(probe = []) ?size ?config what insns =
   let si, mi = run_insns Cpu.Interp ?size ?config insns in
-  let sc, mc = run_insns Cpu.Compiled ?size ?config insns in
+  let sc, mc = run_insns Cpu.Auto ?size ?config insns in
   check_stats_equal what si sc;
   List.iter
     (fun addr ->
@@ -44,7 +44,7 @@ let parity ?(probe = []) ?size ?config what insns =
 
 let parity_asm ?(probe = []) ?size ?config what src =
   let si, mi = run_asm Cpu.Interp ?size ?config src in
-  let sc, mc = run_asm Cpu.Compiled ?size ?config src in
+  let sc, mc = run_asm Cpu.Auto ?size ?config src in
   check_stats_equal what si sc;
   List.iter
     (fun addr ->
@@ -62,7 +62,7 @@ let test_kernel_parity () =
       | None -> Alcotest.failf "unknown bench %s" name
       | Some bench ->
         let si, oi = Sfi_kernels.Bench.run_fault_free ~engine:Cpu.Interp bench in
-        let sc, oc = Sfi_kernels.Bench.run_fault_free ~engine:Cpu.Compiled bench in
+        let sc, oc = Sfi_kernels.Bench.run_fault_free ~engine:Cpu.Auto bench in
         check_stats_equal name si sc;
         if oi <> oc then Alcotest.failf "%s: outputs differ between engines" name;
         if oc <> bench.Sfi_kernels.Bench.golden then
@@ -106,7 +106,7 @@ loop:   l.add  r2, r2, r1
     (stats, List.rev !calls, Memory.read_u32 mem 0x100)
   in
   let si, ci, wi = run Cpu.Interp in
-  let sc, cc, wc = run Cpu.Compiled in
+  let sc, cc, wc = run Cpu.Auto in
   check_stats_equal "hook stream" si sc;
   Alcotest.(check int) "call count" (List.length ci) (List.length cc);
   if ci <> cc then Alcotest.fail "hook stream: call sequences differ";
@@ -186,7 +186,7 @@ sub:    l.addi r3, r0, 9
     (stats, List.rev !traced)
   in
   let si, ti = run Cpu.Interp in
-  let sc, tc = run Cpu.Compiled in
+  let sc, tc = run Cpu.Auto in
   check_stats_equal "trace order" si sc;
   if ti <> tc then Alcotest.fail "trace order: per-instruction (pc, insn) streams differ"
 
@@ -207,7 +207,7 @@ let test_trace_illegal_not_traced () =
     (stats, List.rev !traced)
   in
   let si, ti = run Cpu.Interp in
-  let sc, tc = run Cpu.Compiled in
+  let sc, tc = run Cpu.Auto in
   check_stats_equal "illegal trace" si sc;
   (match si.Cpu.outcome with
   | Cpu.Trapped _ -> ()
@@ -253,7 +253,7 @@ let test_trap_parity () =
     Memory.write_u32 mem 4 0xFFFF_FFFF;
     Cpu.run ~engine mem ~entry:0
   in
-  check_stats_equal "illegal instruction" (illegal Cpu.Interp) (illegal Cpu.Compiled)
+  check_stats_equal "illegal instruction" (illegal Cpu.Interp) (illegal Cpu.Auto)
 
 (* ---------- kernel markers mid-block ---------- *)
 
@@ -288,7 +288,7 @@ let test_fi_toggle_mid_block () =
     (stats, !calls)
   in
   let si, ci = run Cpu.Interp in
-  let sc, cc = run Cpu.Compiled in
+  let sc, cc = run Cpu.Auto in
   check_stats_equal "fi toggle" si sc;
   Alcotest.(check int) "hook calls" ci cc;
   (* Each window retires its begin marker, its body and its end marker
@@ -304,7 +304,7 @@ let test_campaign_point_parity () =
      the whole campaign stack quickly; the fault masks perturb control
      flow enough that some trials watchdog or trap. *)
   let bench = Sfi_kernels.Median.create ~n:17 () in
-  let model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:5e-4 [@warning "-3"] in
+  let model = Sfi_core.Flow.model_a ~bit_flip_prob:5e-4 in
   let spec =
     Sfi_fi.Campaign.Spec.(default |> with_trials 12 |> with_jobs 1 |> with_seed 42)
   in
@@ -322,10 +322,52 @@ let test_campaign_point_parity () =
     ~finally:(fun () -> Cpu.set_default_engine Cpu.Auto)
     (fun () ->
       let pi, sigi = run_with Cpu.Interp in
-      let pc, sigc = run_with Cpu.Compiled in
+      let pc, sigc = run_with Cpu.Auto in
       Alcotest.(check string) "point JSON" pi pc;
       if sigi <> sigc then
         Alcotest.fail "campaign point: det_signature differs between engines")
+
+(* Checkpoints carry trial results, never engine state: a sweep killed
+   under the interpreter (its checkpoint truncated after 3 of its 8
+   batches) resumes under the production engine to the uninterrupted
+   run's exact sfi-point/1 JSON. *)
+let test_checkpoint_interp_resumes_under_auto () =
+  let module Spec = Sfi_fi.Campaign.Spec in
+  let bench = Sfi_kernels.Median.create ~n:17 () in
+  let model = Sfi_core.Flow.model_a ~bit_flip_prob:5e-4 in
+  let freqs_mhz = [ 700.; 800. ] in
+  let path = Filename.temp_file "sfi-engine-ckpt" ".jsonl" in
+  (* non-converging adaptive spec: always 4 batches of 6 per point *)
+  let spec ckpt =
+    let s = Spec.(default |> with_adaptive ~batch:6 ~max_trials:24 ~ci_target:0.01 |> with_seed 5) in
+    if ckpt then Spec.with_checkpoint path s else s
+  in
+  let sweep ckpt =
+    Sfi_fi.Campaign.Point_json.to_string
+      (Sfi_fi.Campaign.Point_json.of_sweep
+         (Sfi_fi.Campaign.run_sweep (spec ckpt) ~bench ~model ~freqs_mhz))
+  in
+  let resumed = Sfi_obs.Counter.make ~det:false "campaign.resumed_trials" in
+  Fun.protect
+    ~finally:(fun () ->
+      Cpu.set_default_engine Cpu.Auto;
+      Sfi_obs.set_enabled false;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let clean = sweep false in
+      Cpu.set_default_engine Cpu.Interp;
+      ignore (sweep true : string);
+      let ic = open_in_bin path in
+      let lines = List.filteri (fun i _ -> i < 3) (In_channel.input_lines ic) in
+      close_in ic;
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      Cpu.set_default_engine Cpu.Auto;
+      Sfi_obs.reset ();
+      Sfi_obs.set_enabled true;
+      let resumed_json = sweep true in
+      Alcotest.(check int) "3 batches of 6 resumed" 18 (Sfi_obs.Counter.value resumed);
+      Alcotest.(check string) "resumed point JSON" clean resumed_json)
 
 (* ---------- allocation pins ---------- *)
 
@@ -369,7 +411,7 @@ loop:   l.add   r2, r2, r1
       if per_insn > 0.01 then
         Alcotest.failf "%s engine allocates %.3f words/insn in steady state"
           (Cpu.engine_name engine) per_insn)
-    [ Cpu.Interp; Cpu.Compiled ]
+    [ Cpu.Interp; Cpu.Auto ]
 
 let test_decode_into_allocation_free () =
   (* A cold decode fill allocates nothing (the point of the unboxed
@@ -542,7 +584,7 @@ let prop_random_program_parity =
   Prop.test ~cases:300 "random programs retire identically" gen (fun insns ->
       let config = { Cpu.default_config with Cpu.max_cycles = 5_000 } in
       let si, _ = run_insns Cpu.Interp ~config insns in
-      let sc, _ = run_insns Cpu.Compiled ~config insns in
+      let sc, _ = run_insns Cpu.Auto ~config insns in
       si = sc)
 
 let () =
@@ -561,6 +603,8 @@ let () =
           Alcotest.test_case "trap outcomes" `Quick test_trap_parity;
           Alcotest.test_case "fi toggle mid-block" `Quick test_fi_toggle_mid_block;
           Alcotest.test_case "campaign point" `Quick test_campaign_point_parity;
+          Alcotest.test_case "interp checkpoint resumes under auto" `Quick
+            test_checkpoint_interp_resumes_under_auto;
           prop_random_program_parity;
         ] );
       ( "allocation",

@@ -3,13 +3,13 @@
 
    - every registry kernel, under both CPU engines, produces the same
      campaign point (sfi-point/1 JSON) and deterministic obs signature
-     with fast-forward Off and On;
+     under full replay (Off) and fast-forward (Auto);
    - mostly-fault-free operating points actually elide trials
      (fastforward.trials_elided) and still match full replay;
    - jobs=1 and jobs=4 agree under fast-forward;
-   - checkpoint records are mode-independent: Off and On write
+   - checkpoint records are mode-independent: Off and Auto write
      byte-identical files, and a sweep checkpointed under Off resumes
-     under On bit-identically;
+     under Auto bit-identically;
    - sfi-snap/1 entries survive round-trips and reject corruption,
      truncation and version bumps (counted on cache.corrupt_rejected),
      falling back to re-recording; cold and warm runs keep identical
@@ -20,10 +20,8 @@ open Sfi_kernels
 open Sfi_fi
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache/fast-forward environment. *)
+(* Isolate from any ambient cache environment. *)
 let () = Unix.putenv "SFI_CACHE_DIR" ""
-
-let () = Unix.putenv "SFI_FASTFORWARD" ""
 
 let () = Sfi_obs.set_enabled true
 
@@ -42,7 +40,7 @@ let with_obs f =
   let r = f () in
   (r, Sfi_obs.det_signature ())
 
-let model_a p = Model.fixed_probability ~bit_flip_prob:p [@@warning "-3"]
+let model_a p = Sfi_core.Flow.model_a ~bit_flip_prob:p
 
 let point_equal (p : Campaign.point) (q : Campaign.point) =
   Campaign.Point_json.(to_string (of_point p) = to_string (of_point q))
@@ -53,7 +51,7 @@ let points_equal ps qs =
 
 let spec_mode mode = Spec.(default |> with_fastforward mode)
 
-(* ---------- Off vs On across kernels and engines ---------- *)
+(* ---------- Off vs Auto across kernels and engines ---------- *)
 
 let test_parity_all_kernels () =
   Fun.protect
@@ -82,7 +80,7 @@ let test_parity_all_kernels () =
               in
               let on, sig_on =
                 with_obs (fun () ->
-                    Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700.)
+                    Campaign.run (spec Spec.Auto) ~bench ~model ~freq_mhz:700.)
               in
               let what =
                 Printf.sprintf "%s/%s" name (Cpu.engine_name engine)
@@ -92,7 +90,7 @@ let test_parity_all_kernels () =
                 (what ^ ": det signatures equal")
                 true (sig_off = sig_on))
             Registry.names)
-        [ Cpu.Interp; Cpu.Compiled ])
+        [ Cpu.Interp; Cpu.Auto ])
 
 (* At a rare-fault operating point most trials are provably fault-free:
    fast-forward must elide them (no simulation at all) and still agree
@@ -105,7 +103,7 @@ let test_elision_parity () =
     with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:700.)
   in
   Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:700. in
+  let on = Campaign.run (spec Spec.Auto) ~bench ~model ~freq_mhz:700. in
   let sig_on = Sfi_obs.det_signature () in
   let elided = value c_elided and restores = value c_restores in
   Alcotest.(check bool) "points equal" true (point_equal off on);
@@ -134,7 +132,7 @@ let test_model_c_parity () =
     with_obs (fun () -> Campaign.run (spec Spec.Off) ~bench ~model ~freq_mhz:freq)
   in
   Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model ~freq_mhz:freq in
+  let on = Campaign.run (spec Spec.Auto) ~bench ~model ~freq_mhz:freq in
   let sig_on = Sfi_obs.det_signature () in
   let elided = value c_elided and restores = value c_restores in
   Alcotest.(check bool) "model C points equal" true (point_equal off on);
@@ -145,7 +143,7 @@ let test_jobs_parity () =
   let bench = Option.get (Registry.by_name "median") in
   let model = model_a 0.004 in
   let spec jobs =
-    Spec.(spec_mode Spec.On |> with_trials 16 |> with_seed 7 |> with_jobs jobs)
+    Spec.(spec_mode Spec.Auto |> with_trials 16 |> with_seed 7 |> with_jobs jobs)
   in
   let p1, sig1 =
     with_obs (fun () -> Campaign.run (spec 1) ~bench ~model ~freq_mhz:720.)
@@ -195,7 +193,7 @@ let test_checkpoint_records_identical () =
     Campaign.run_sweep (ckpt_spec mode path) ~bench ~model ~freqs_mhz:freqs
   in
   let ps_off, file_off = with_ckpt (fun p -> (run Spec.Off p, read_file p)) in
-  let ps_on, file_on = with_ckpt (fun p -> (run Spec.On p, read_file p)) in
+  let ps_on, file_on = with_ckpt (fun p -> (run Spec.Auto p, read_file p)) in
   Alcotest.(check bool) "sweeps equal" true (points_equal ps_off ps_on);
   Alcotest.(check string) "checkpoint files byte-identical" file_off file_on
 
@@ -215,10 +213,10 @@ let test_checkpoint_off_resumes_under_on () =
   truncate_to_lines path 3;
   Sfi_obs.reset ();
   let resumed =
-    Campaign.run_sweep (ckpt_spec Spec.On path) ~bench ~model ~freqs_mhz:freqs
+    Campaign.run_sweep (ckpt_spec Spec.Auto path) ~bench ~model ~freqs_mhz:freqs
   in
   Alcotest.(check int) "3 batches of 6 resumed" 18 (value c_resumed);
-  Alcotest.(check bool) "resumed-under-On equals clean full replay" true
+  Alcotest.(check bool) "resumed under Auto equals clean full replay" true
     (points_equal clean resumed)
 
 (* ---------- sfi-snap/1 cache robustness ---------- *)
@@ -312,7 +310,7 @@ let test_cold_warm_det_signature () =
   let bench = Option.get (Registry.by_name "mat_mult_8bit") in
   ignore (Campaign.reference_cycles bench : int);
   let model = model_a 0.006 in
-  let spec = Spec.(spec_mode Spec.On |> with_trials 8 |> with_seed 13) in
+  let spec = Spec.(spec_mode Spec.Auto |> with_trials 8 |> with_seed 13) in
   let cold, sig_cold =
     with_obs (fun () -> Campaign.run spec ~bench ~model ~freq_mhz:710.)
   in

@@ -305,14 +305,14 @@ let prop_snapshot_roundtrip =
                  let mem = Memory.copy mem_at_snap in
                  let stats = Cpu.run ~config ~engine ~resume:snap mem ~entry:0 in
                  stats = full_stats && List.rev !calls = expect)
-               [ Cpu.Interp; Cpu.Compiled ])
+               [ Cpu.Interp; Cpu.Auto ])
            !snaps)
 
 (* --- analytic first-fault sampling vs full replay --- *)
 
 let ff_bench = lazy (Option.get (Sfi_kernels.Registry.by_name "median"))
 
-let ff_model = Sfi_fi.Model.fixed_probability ~bit_flip_prob:0.002 [@@warning "-3"]
+let ff_model = Sfi_core.Flow.model_a ~bit_flip_prob:0.002
 
 let ff_trace =
   lazy

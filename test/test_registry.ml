@@ -9,7 +9,7 @@
      declares [skippable_gaussians = Some k], the hook really is a
      no-op consuming exactly [k] standard-normal draws (checked against
      [Rng.skip_gaussians] over hundreds of seeds);
-   - cycle-dependent models never fast-forward: an explicit [On] run
+   - cycle-dependent models never fast-forward: a default (fast-forward) run
      falls back to full replay (counted on
      [fastforward.model_unsupported]) and stays bit-identical to [Off];
    - a mixed built-in + attack campaign killed mid-run resumes from its
@@ -26,10 +26,8 @@ open Sfi_fi
 module Json = Sfi_obs.Json
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache/fast-forward environment. *)
+(* Isolate from any ambient cache environment. *)
 let () = Unix.putenv "SFI_CACHE_DIR" ""
-
-let () = Unix.putenv "SFI_FASTFORWARD" ""
 
 let () = Sfi_obs.set_enabled true
 
@@ -213,10 +211,10 @@ let test_ff_unsupported_falls_back () =
   let sig_off = Sfi_obs.det_signature () in
   Alcotest.(check int) "Off never consults the gate" 0 (value c_unsupported);
   Sfi_obs.reset ();
-  let on = Campaign.run (spec Spec.On) ~bench ~model:m ~freq_mhz:700. in
+  let on = Campaign.run (spec Spec.Auto) ~bench ~model:m ~freq_mhz:700. in
   let sig_on = Sfi_obs.det_signature () in
-  Alcotest.(check bool) "explicit On counted as unsupported" true (value c_unsupported > 0);
-  Alcotest.(check bool) "On falls back bit-identically" true (point_equal off on);
+  Alcotest.(check bool) "default run counted as unsupported" true (value c_unsupported > 0);
+  Alcotest.(check bool) "default run falls back bit-identically" true (point_equal off on);
   Alcotest.(check bool) "det signatures equal" true (sig_off = sig_on)
 
 (* ---------- mixed built-in + attack checkpoint resume ---------- *)
