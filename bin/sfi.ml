@@ -48,7 +48,10 @@ let experiments_cmd =
          its own trial count (an adaptive template's ceiling follows). *)
       let spec = spec_flags () in
       let ctx = Sfi_core.Experiments.make_ctx ~spec scale in
-      ignore (Sfi_core.Experiments.run ctx ids)
+      try Sfi_core.Experiments.run ctx ids
+      with Invalid_argument msg ->
+        Printf.eprintf "sfi: %s\n" msg;
+        exit 2
     end
   in
   Cmd.v

@@ -866,7 +866,14 @@ let run_one ctx = function
 
 let run ctx ids =
   let ids = if ids = [] then List.map fst all else ids in
-  List.filter_map
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc id all) then
+        invalid_arg
+          (Printf.sprintf "unknown experiment id %S (valid: %s)" id
+             (String.concat ", " (List.map fst all))))
+    ids;
+  List.iter
     (fun id ->
       Printf.printf "==== %s (%s scale, %d job%s) ====\n%!" id ctx.scale.label
         (Pool.default_jobs ())
@@ -874,17 +881,9 @@ let run ctx ids =
       (* Wall clock, not [Sys.time]: CPU time sums over all domains and
          would hide any parallel speedup. *)
       let t0 = Unix.gettimeofday () in
-      let known =
-        Sfi_obs.Span.time (Sfi_obs.Span.make ("experiment." ^ id)) (fun () ->
-            run_one ctx id)
-      in
-      if known then begin
-        let dt = Unix.gettimeofday () -. t0 in
-        Printf.printf "---- %s done in %.1f s ----\n\n%!" id dt;
-        Some (id, dt)
-      end
-      else begin
-        Printf.printf "unknown experiment id %S\n\n" id;
-        None
-      end)
+      ignore
+        (Sfi_obs.Span.time (Sfi_obs.Span.make ("experiment." ^ id)) (fun () ->
+             run_one ctx id)
+          : bool);
+      Printf.printf "---- %s done in %.1f s ----\n\n%!" id (Unix.gettimeofday () -. t0))
     ids

@@ -47,7 +47,8 @@ val all : (string * string) list
 val run_one : ctx -> string -> bool
 (** Runs one experiment by id; [false] for unknown ids. *)
 
-val run : ctx -> string list -> (string * float) list
+val run : ctx -> string list -> unit
 (** Runs the given ids (or everything when the list is empty), printing a
-    header per experiment. Returns [(id, wall_seconds)] for every id that
-    ran, in run order — the raw material of BENCH.json. *)
+    header and a wall-time footer per experiment. Every id is checked
+    against {!all} first: an unknown one raises [Invalid_argument]
+    naming it and listing the valid ids, before any experiment runs. *)

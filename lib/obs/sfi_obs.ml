@@ -533,9 +533,6 @@ let json_of_entry e =
         ("total_ns", Int total_ns);
       ]
 
-let json_of_snapshot () =
-  Json.List (List.map json_of_entry (snapshot ()))
-
 let jsonl_string ?(meta = []) () =
   let buf = Buffer.create 1024 in
   Json.write buf

@@ -15,7 +15,7 @@
     read-modify-write, safe inside the zero-allocation DTA drain. *)
 
 (** Minimal JSON reader/writer (no dependencies) used for the JSONL
-    snapshot format, BENCH.json embedding and the golden-file tests. *)
+    snapshot format and the golden-file tests. *)
 module Json : sig
   type t =
     | Null
@@ -131,9 +131,6 @@ val det_signature : unit -> (string * int list) list
 (** The deterministic fingerprint: every [det] counter/histogram
     flattened to int lists, spans and [~det:false] metrics excluded.
     Equal across job counts for identical work. *)
-
-val json_of_snapshot : unit -> Json.t
-(** The snapshot as a JSON array, for embedding (BENCH.json). *)
 
 val jsonl_string : ?meta:(string * Json.t) list -> unit -> string
 (** JSONL: a [{"schema":"sfi-obs/1", ...meta}] header line followed by

@@ -49,17 +49,6 @@ val settle_time : t -> Circuit.net -> float
 (** Time (ps) of the net's last transition during the most recent
     {!cycle}; [0.] if it did not toggle. *)
 
-val events_processed : t -> int
-(** Total events evaluated since creation (performance diagnostics).
-    Same-time evaluations of one gate are coalesced and count once. *)
-
-val settles_count : t -> int
-(** Events that changed a net's value since creation. *)
-
-val coalesced_count : t -> int
-(** Same-instant gate evaluations deduplicated by the scheduling stamp
-    since creation. *)
-
 val check_against : t -> Logic_sim.t -> Circuit.net array -> bool
 (** Debug helper: [true] when the DTA net values of the given nets agree
     with a zero-delay simulation that was driven with the same inputs. *)

@@ -65,5 +65,5 @@ val words_evaluated : t -> int
 
 val lane_events : t -> int
 (** Scalar-equivalent events: total lane bits across trigger masks.
-    Matches {!Dta.events_processed} summed over per-lane scalar runs of
-    the same stimulus. *)
+    Matches the scalar engine's [dta.events] counter summed over
+    per-lane runs of the same stimulus. *)

@@ -3,6 +3,11 @@ open Sfi_core
 
 let check_float = Alcotest.(check (float 1e-6))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* One shared flow with a small characterization kernel. *)
 let ctx = lazy (Experiments.make_ctx { Experiments.fast with Experiments.char_cycles = 400 })
 
@@ -38,13 +43,7 @@ let test_flow_models_constructible () =
 let test_flow_summary_mentions_stages () =
   let s = Flow.summary (Lazy.force flow) in
   List.iter
-    (fun word ->
-      let contains =
-        let n = String.length word in
-        let rec go i = i + n <= String.length s && (String.sub s i n = word || go (i + 1)) in
-        go 0
-      in
-      if not contains then Alcotest.failf "summary lacks %S" word)
+    (fun word -> if not (contains s word) then Alcotest.failf "summary lacks %S" word)
     [ "netlist"; "virtual synthesis"; "STA"; "DTA"; "mul"; "addsub" ]
 
 let test_flow_operating_vdd_rescales () =
@@ -127,6 +126,35 @@ let test_experiments_unknown_id () =
   Alcotest.(check bool) "unknown rejected" false
     (Experiments.run_one (Lazy.force ctx) "nonsense")
 
+(* [run] validates every id before running any: a typo at the end of the
+   list must not cost the experiments before it, nor be skipped quietly.
+   The per-experiment span shows whether table2 started. *)
+let test_experiments_run_rejects_unknown_first () =
+  let table2_spans () =
+    List.fold_left
+      (fun acc e ->
+        match e.Sfi_obs.entry_value with
+        | Sfi_obs.Span_v { count; _ } when e.Sfi_obs.entry_name = "experiment.table2" ->
+          acc + count
+        | _ -> acc)
+      0 (Sfi_obs.snapshot ())
+  in
+  let was_enabled = Sfi_obs.enabled () in
+  Sfi_obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Sfi_obs.set_enabled was_enabled)
+    (fun () ->
+      let before = table2_spans () in
+      (match Experiments.run (Lazy.force ctx) [ "table2"; "nonsense" ] with
+      | () -> Alcotest.fail "unknown id accepted"
+      | exception Invalid_argument msg ->
+        List.iter
+          (fun part ->
+            if not (contains msg part) then
+              Alcotest.failf "message %S lacks %S" msg part)
+          [ "\"nonsense\""; "table2"; "fig5"; "attack" ]);
+      Alcotest.(check int) "table2 not run" before (table2_spans ()))
+
 let test_experiments_cheap_ones_run () =
   (* table2/fig3 exercise the registry and flow summary quickly. *)
   List.iter
@@ -158,6 +186,8 @@ let () =
         [
           Alcotest.test_case "registry complete" `Quick test_experiments_registry_complete;
           Alcotest.test_case "unknown id" `Quick test_experiments_unknown_id;
+          Alcotest.test_case "run rejects unknown id before running" `Quick
+            test_experiments_run_rejects_unknown_first;
           Alcotest.test_case "cheap experiments run" `Quick test_experiments_cheap_ones_run;
         ] );
     ]
