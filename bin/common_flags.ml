@@ -164,8 +164,7 @@ let spec_flags =
 
 (* ---------- fault-model flags ---------- *)
 
-(* --model: any key in the Fi.Model registry (case-insensitive), looked
-   up at run time so externally registered models parse too. *)
+(* --model: any key in the Fi.Model registry (case-insensitive). *)
 let model_arg =
   Arg.(value
        & opt string "C"

@@ -40,6 +40,10 @@ let experiments_cmd =
         (fun (id, desc) -> Printf.printf "%-18s %s\n" id desc)
         Sfi_core.Experiments.all
     else begin
+      (try Sfi_core.Experiments.check_ids ids
+       with Invalid_argument msg ->
+         Printf.eprintf "sfi: %s\n" msg;
+         exit 2);
       apply_jobs jobs;
       apply_cache_dir cache_dir;
       with_obs obs @@ fun () ->
@@ -48,10 +52,7 @@ let experiments_cmd =
          its own trial count (an adaptive template's ceiling follows). *)
       let spec = spec_flags () in
       let ctx = Sfi_core.Experiments.make_ctx ~spec scale in
-      try Sfi_core.Experiments.run ctx ids
-      with Invalid_argument msg ->
-        Printf.eprintf "sfi: %s\n" msg;
-        exit 2
+      Sfi_core.Experiments.run ctx ids
     end
   in
   Cmd.v

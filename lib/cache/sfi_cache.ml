@@ -244,13 +244,18 @@ let load ~namespace ~key =
     Sfi_obs.Counter.incr (match result with Some _ -> obs_hits | None -> obs_misses);
     result
 
-let memo ~namespace ~key f =
-  match load ~namespace ~key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    store ~namespace ~key v;
-    v
+(* The key is forced only when caching is on: fingerprinting a netlist
+   or a program image is not free. *)
+let memo ~namespace ~key ?(valid = fun _ -> true) f =
+  if not (enabled ()) then f ()
+  else
+    let key = key () in
+    match load ~namespace ~key with
+    | Some v when valid v -> v
+    | _ ->
+      let v = f () in
+      if valid v then store ~namespace ~key v;
+      v
 
 (* ---------- maintenance (sfi cache ls / verify / prune) ---------- *)
 

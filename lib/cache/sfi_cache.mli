@@ -90,8 +90,13 @@ val load : namespace:string -> key:string -> 'a option
     fingerprint + schema version — callers must give each value type
     its own namespace and re-check cheap invariants after load. *)
 
-val memo : namespace:string -> key:string -> (unit -> 'a) -> 'a
-(** [load] on hit; otherwise computes, [store]s and returns. *)
+val memo :
+  namespace:string -> key:(unit -> string) -> ?valid:('a -> bool) -> (unit -> 'a) -> 'a
+(** [memo ~namespace ~key ~valid f] is [f ()] read through the cache:
+    {!load} on a hit whose value passes [valid] (default: every value);
+    otherwise [f ()], {!store}d only if it passes [valid] — so the cache
+    never holds a value its reader would reject. With caching disabled
+    it is just [f ()], and [key] is never called. *)
 
 type entry_info = {
   file : string;       (** basename within the cache directory *)

@@ -47,8 +47,12 @@ val all : (string * string) list
 val run_one : ctx -> string -> bool
 (** Runs one experiment by id; [false] for unknown ids. *)
 
+val check_ids : string list -> unit
+(** Raises [Invalid_argument] naming the first id not in {!all} and
+    listing the valid ones. Needs no {!ctx}, so a front end can reject a
+    typo before building the flow. *)
+
 val run : ctx -> string list -> unit
 (** Runs the given ids (or everything when the list is empty), printing a
     header and a wall-time footer per experiment. Every id is checked
-    against {!all} first: an unknown one raises [Invalid_argument]
-    naming it and listing the valid ids, before any experiment runs. *)
+    with {!check_ids} before any experiment runs. *)

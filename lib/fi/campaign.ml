@@ -55,119 +55,64 @@ type point = {
   any_fault_possible : bool;
 }
 
-(* Fault-free cycle counts, cached per benchmark so watchdog budgets do
-   not require a reference run per trial. Trials of one point run on
-   several domains, so the cache is mutex-guarded — but with a
-   per-benchmark once-cell, not one global lock held across the whole
-   fault-free run: the short table lock only allocates the benchmark's
-   cell, and the reference run itself is computed under that benchmark's
-   own lock, so concurrent first uses of *distinct* benchmarks proceed in
-   parallel while concurrent callers for the *same* benchmark still block
-   until the first one has filled the cell. *)
-(* Disk key for a benchmark's fault-free cycle count: the loaded image,
-   memory geometry and the pipeline's penalty constants fully determine
-   it. The benchmark name is deliberately not part of the key — two
-   benchmarks with identical images share a cycle count. *)
-let add_bench_inputs fp (bench : Bench.t) =
-  let open Sfi_cache.Fingerprint in
-  add_int fp bench.Bench.mem_size;
-  let p = bench.Bench.program in
-  add_int fp p.Sfi_isa.Program.entry;
-  add_int fp p.Sfi_isa.Program.limit;
-  Array.iter
-    (fun (addr, v) ->
-      add_int fp addr;
-      add_int fp v)
-    p.Sfi_isa.Program.words;
-  add_int fp Cpu.branch_penalty;
-  add_int fp Cpu.load_use_penalty
-
+(* Fault-free cycle counts, memoized per benchmark name so watchdog
+   budgets do not require a reference run per trial; trials of one point
+   run on several domains, hence the once-cell table. On disk the key is
+   the benchmark's image ([Bench.add_fingerprint]), not its name. *)
 let reference_fingerprint (bench : Bench.t) =
   let fp = Sfi_cache.Fingerprint.create "sfi-refcycles/1" in
-  add_bench_inputs fp bench;
+  Bench.add_fingerprint bench fp;
   Sfi_cache.Fingerprint.hex fp
 
-let reference_cycles =
-  let cells : (string, Mutex.t * int option ref) Hashtbl.t = Hashtbl.create 8 in
-  let table_lock = Mutex.create () in
-  fun (bench : Bench.t) ->
-    let lock, cell =
-      Mutex.protect table_lock (fun () ->
-          match Hashtbl.find_opt cells bench.Bench.name with
-          | Some c -> c
-          | None ->
-            let c = (Mutex.create (), ref None) in
-            Hashtbl.replace cells bench.Bench.name c;
-            c)
-    in
-    Mutex.protect lock (fun () ->
-        match !cell with
-        | Some cycles ->
-          Sfi_obs.Counter.incr obs_ref_hits;
-          cycles
-        | None ->
-          Sfi_obs.Counter.incr obs_ref_misses;
-          let key =
-            if Sfi_cache.enabled () then Some (reference_fingerprint bench) else None
-          in
-          let cached =
-            match key with
-            | None -> None
-            | Some key -> (
-                match (Sfi_cache.load ~namespace:"refcycles" ~key : int option) with
-                | Some cycles when cycles > 0 -> Some cycles
-                | _ -> None)
-          in
-          let cycles =
-            match cached with
-            | Some cycles -> cycles
-            | None ->
-              let stats, _ = Bench.run_fault_free bench in
-              (match key with
-              | Some key -> Sfi_cache.store ~namespace:"refcycles" ~key stats.Cpu.cycles
-              | None -> ());
-              stats.Cpu.cycles
-          in
-          cell := Some cycles;
-          cycles)
+let reference_cells : (string, int) Once.t = Once.create ()
 
-let run_trial_with ~bench ~model ~freq_mhz ~rng =
-  let injector = Injector.create ~model ~freq_mhz ~rng () in
+let reference_cycles (bench : Bench.t) =
+  Once.get reference_cells bench.Bench.name
+    ~on_hit:(fun () -> Sfi_obs.Counter.incr obs_ref_hits)
+    (fun () ->
+      Sfi_obs.Counter.incr obs_ref_misses;
+      Sfi_cache.memo ~namespace:"refcycles"
+        ~key:(fun () -> reference_fingerprint bench)
+        ~valid:(fun cycles -> cycles > 0)
+        (fun () -> (fst (Bench.run_fault_free bench)).Cpu.cycles))
+
+(* The one trial runner: full replay without a snapshot [trace], else
+   fast-forward — and the one place a [trial] is assembled and counted,
+   so both paths share the watchdog and the det:true accounting (one
+   [reference_cycles] call, one trials bump, one cycle-histogram
+   observation). *)
+let run_trial_with ~trace ~bench ~model ~freq_mhz ~rng =
   let budget = (3 * reference_cycles bench) + 65536 in
-  let config =
-    {
-      Cpu.default_config with
-      Cpu.max_cycles = budget;
-      Cpu.fault_hook = Some (Injector.hook injector);
-    }
+  let stats, actual, injector =
+    match trace with
+    | Some trace -> Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng
+    | None ->
+      let injector = Injector.create ~model ~freq_mhz ~rng () in
+      let mem = Bench.fresh_memory bench in
+      (* Per-trial state hook: architectural-state attack models flip
+         bits in the freshly loaded image here; every built-in is a
+         no-op that draws nothing, so the RNG stream (and thus every
+         historic result) is unchanged. *)
+      let (_ : int) = Injector.trial_start injector mem in
+      Fastforward.simulate ~bench ~budget injector mem
   in
-  let mem = Bench.fresh_memory bench in
-  (* Per-trial state hook: architectural-state attack models flip bits
-     in the freshly loaded image here; every built-in is a no-op that
-     draws nothing, so the RNG stream (and thus every historic result)
-     is unchanged. *)
-  let (_ : int) = Injector.trial_start injector mem in
-  let stats = Cpu.run ~config mem ~entry:bench.Bench.program.Sfi_isa.Program.entry in
   let finished = stats.Cpu.outcome = Cpu.Exited in
-  let actual = if finished then Bench.read_output bench mem else [||] in
   let correct = finished && actual = bench.Bench.golden in
   let error =
     if finished then bench.Bench.metric ~expected:bench.Bench.golden ~actual else nan
   in
   let kernel_cycles = max 1 stats.Cpu.kernel_cycles in
+  let fault_bits, fault_events =
+    match injector with
+    | Some i -> (Injector.fault_bits i, Injector.fault_events i)
+    | None -> (0, 0)
+  in
   Sfi_obs.Counter.incr obs_trials;
   Sfi_obs.Hist.observe obs_trial_cycles kernel_cycles;
-  {
-    finished;
-    correct;
-    fault_bits = Injector.fault_bits injector;
-    fault_events = Injector.fault_events injector;
-    kernel_cycles;
-    error;
-  }
+  { finished; correct; fault_bits; fault_events; kernel_cycles; error }
 
 let run_trial ~bench ~model ~freq_mhz ~seed =
-  run_trial_with ~bench ~model ~freq_mhz ~rng:(Rng.of_int seed)
+  run_trial_with ~trace:None ~bench ~model ~freq_mhz ~rng:(Rng.of_int seed)
 
 (* ---------- aggregation and the adaptive stopping rule ---------- *)
 
@@ -317,7 +262,7 @@ let add_model_inputs fp model = Model.add_fingerprint model fp
    per-point key only appends the frequency to that prefix. *)
 let checkpoint_prefix (spec : Spec.t) ~bench ~model =
   let fp = Sfi_cache.Fingerprint.create "sfi-point-ckpt/1" in
-  add_bench_inputs fp bench;
+  Bench.add_fingerprint bench fp;
   add_model_inputs fp model;
   Sfi_cache.Fingerprint.add_int fp spec.Spec.seed;
   Sfi_cache.Fingerprint.add_int fp (Spec.batch_size spec);
@@ -345,12 +290,11 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
   let trials_requested = Spec.max_trials spec in
   if Injector.cannot_inject probe then begin
     (* Deterministic fault-free region: one run represents all trials. *)
-    let t = run_trial_with ~bench ~model ~freq_mhz ~rng:(Rng.copy root) in
+    let t = run_trial_with ~trace:None ~bench ~model ~freq_mhz ~rng:(Rng.copy root) in
     Sfi_obs.Counter.incr obs_batches;
     (aggregate ~freq_mhz ~any_fault_possible:false ~trials_requested [ t ], [| t |])
   end
   else begin
-    let ref_cycles = reference_cycles bench in
     (* Fast-forward: one engine-neutral snapshot trace per benchmark,
        shared by every trial of every point. A reference run that does
        not exit cleanly yields no trace and the point silently falls
@@ -358,32 +302,14 @@ let run_point_full pool (spec : Spec.t) ~ckpt ~bench ~model ~freq_mhz =
        cycle-dependent model (the attack families) also yields no trace,
        with a counted fallback, because the probe's schedule replay
        would be unsound for it. *)
-    let ff_trace =
+    let ref_cycles = reference_cycles bench in
+    let trace =
       if Spec.resolve_fastforward spec.Spec.fastforward then
         Fastforward.trace_for_model ~bench ~model
           ~stride:(Fastforward.stride_for ~ref_cycles)
       else None
     in
-    let run_one rng =
-      match ff_trace with
-      | None -> run_trial_with ~bench ~model ~freq_mhz ~rng
-      | Some trace ->
-        (* Mirror [run_trial_with]'s det:true accounting exactly: one
-           [reference_cycles] call (budget), one trials bump, one
-           cycle-histogram observation per trial. *)
-        let budget = (3 * reference_cycles bench) + 65536 in
-        let r = Fastforward.run_trial ~bench ~model ~freq_mhz ~budget ~trace ~rng in
-        Sfi_obs.Counter.incr obs_trials;
-        Sfi_obs.Hist.observe obs_trial_cycles r.Fastforward.kernel_cycles;
-        {
-          finished = r.Fastforward.finished;
-          correct = r.Fastforward.correct;
-          fault_bits = r.Fastforward.fault_bits;
-          fault_events = r.Fastforward.fault_events;
-          kernel_cycles = r.Fastforward.kernel_cycles;
-          error = r.Fastforward.error;
-        }
-    in
+    let run_one rng = run_trial_with ~trace ~bench ~model ~freq_mhz ~rng in
     let max_trials = trials_requested in
     let batch = Spec.batch_size spec in
     let rngs = Array.make max_trials root in

@@ -77,8 +77,8 @@ val run_trial :
 
 val run : Spec.t -> bench:Bench.t -> model:Model.t -> freq_mhz:float -> point
 (** Evaluates one point under the spec's trial policy, seed, job count
-    and (optional) checkpoint. [Fixed n] reproduces the historic
-    [run_point ~trials:n] bit-for-bit. Raises [Invalid_argument] on an
+    and (optional) checkpoint. [Fixed n] runs [n] trials in one batch,
+    bit-identical to the single-batch engine that preceded {!Spec}. Raises [Invalid_argument] on an
     invalid spec. *)
 
 val run_detailed :

@@ -101,9 +101,8 @@ let icontents b = Array.sub b.buf 0 b.len
    hook-call schedule (the recording hook returns mask 0, so the run IS
    the reference run). Always interpreted: the trace is engine-neutral
    data, and keying it off the recording engine would split cache
-   entries for bit-identical contents. Returns [None] when the
-   reference run does not exit cleanly — fast-forward then falls back
-   to full replay for this benchmark. *)
+   entries for bit-identical contents. A reference run that does not
+   exit cleanly still yields a trace, which [plausible] rejects. *)
 let record ~bench ~stride =
   let mem = Bench.fresh_memory bench in
   let shadow = Memory.copy mem in
@@ -136,45 +135,35 @@ let record ~bench ~stride =
   in
   Sfi_obs.Counter.incr obs_traces;
   Sfi_obs.Counter.add obs_snapshots !n_snaps;
-  if stats.Cpu.outcome <> Cpu.Exited then None
-  else
-    Some
-      {
-        stride;
-        trace_page_size = page_size;
-        snaps = Array.of_list (List.rev !snaps);
-        sched_cycle = icontents cycles;
-        sched_cls = icontents classes;
-        ref_stats = stats;
-        ref_output = Bench.read_output bench mem;
-      }
+  {
+    stride;
+    trace_page_size = page_size;
+    snaps = Array.of_list (List.rev !snaps);
+    sched_cycle = icontents cycles;
+    sched_cls = icontents classes;
+    ref_stats = stats;
+    ref_output = Bench.read_output bench mem;
+  }
 
 (* ---------- the sfi-snap/1 cache codec ---------- *)
 
-(* Content key of a snapshot trace: the benchmark image and pipeline
-   constants (the same inputs that determine reference cycles) plus the
-   stride and page geometry. Deliberately engine-free. *)
+(* Content key of a snapshot trace: the inputs that determine the
+   reference run plus the stride and page geometry. Deliberately
+   engine-free. *)
 let trace_fingerprint (bench : Bench.t) ~stride =
-  let fp = Sfi_cache.Fingerprint.create "sfi-snap/1" in
   let open Sfi_cache.Fingerprint in
-  add_int fp bench.Bench.mem_size;
-  let p = bench.Bench.program in
-  add_int fp p.Sfi_isa.Program.entry;
-  add_int fp p.Sfi_isa.Program.limit;
-  Array.iter
-    (fun (addr, v) ->
-      add_int fp addr;
-      add_int fp v)
-    p.Sfi_isa.Program.words;
-  add_int fp Cpu.branch_penalty;
-  add_int fp Cpu.load_use_penalty;
+  let fp = create "sfi-snap/1" in
+  Bench.add_fingerprint bench fp;
   add_int fp stride;
   add_int fp page_size;
   hex fp
 
-(* Cheap post-load invariants per the cache contract (the namespace and
+(* Cheap invariants per the cache contract (the namespace and
    fingerprint already bind the contents; this guards decode of a
-   foreign value marshalled under the same key by accident). *)
+   foreign value marshalled under the same key by accident). A fresh
+   recording fails them only when its reference run did not exit, so
+   such a trace is never stored and the benchmark falls back to full
+   replay. *)
 let plausible t =
   t.stride > 0
   && t.trace_page_size = page_size
@@ -182,54 +171,18 @@ let plausible t =
   && Array.length t.sched_cycle = Array.length t.sched_cls
   && t.ref_stats.Cpu.outcome = Cpu.Exited
 
-(* Per-(benchmark, stride) in-process memo, mutex-guarded like
-   [Campaign.reference_cycles]: concurrent first uses of distinct
-   benchmarks record in parallel, same-benchmark callers block until
-   the first recording lands. *)
-let trace_for =
-  let cells : (string * int, Mutex.t * trace option option ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let table_lock = Mutex.create () in
-  fun ~(bench : Bench.t) ~stride ->
-    let id = (bench.Bench.name, stride) in
-    let lock, cell =
-      Mutex.protect table_lock (fun () ->
-          match Hashtbl.find_opt cells id with
-          | Some c -> c
-          | None ->
-            let c = (Mutex.create (), ref None) in
-            Hashtbl.replace cells id c;
-            c)
-    in
-    Mutex.protect lock (fun () ->
-        match !cell with
-        | Some t -> t
-        | None ->
-          let key =
-            if Sfi_cache.enabled () then Some (trace_fingerprint bench ~stride)
-            else None
-          in
-          let cached =
-            match key with
-            | None -> None
-            | Some key -> (
-              match (Sfi_cache.load ~namespace:"snap" ~key : trace option) with
-              | Some t when plausible t -> Some t
-              | _ -> None)
-          in
-          let t =
-            match cached with
-            | Some t -> Some t
-            | None ->
-              let t = record ~bench ~stride in
-              (match (key, t) with
-              | Some key, Some t -> Sfi_cache.store ~namespace:"snap" ~key t
-              | _ -> ());
-              t
-          in
-          cell := Some t;
-          t)
+(* Per-(benchmark, stride) in-process memo over the disk cache. *)
+let traces : (string * int, trace option) Once.t = Once.create ()
+
+let trace_for ~(bench : Bench.t) ~stride =
+  Once.get traces (bench.Bench.name, stride) (fun () ->
+      let t =
+        Sfi_cache.memo ~namespace:"snap"
+          ~key:(fun () -> trace_fingerprint bench ~stride)
+          ~valid:plausible
+          (fun () -> record ~bench ~stride)
+      in
+      if plausible t then Some t else None)
 
 (* Counted fallback for models the probe cannot soundly replay: how the
    trace was (not) obtained is elided-work metadata, det:false like the
@@ -246,32 +199,23 @@ let trace_for_model ~bench ~model ~stride =
 
 (* ---------- the fast-forwarded trial ---------- *)
 
-type result = {
-  finished : bool;
-  correct : bool;
-  fault_bits : int;
-  fault_events : int;
-  kernel_cycles : int;
-  error : float;
-}
+type run = Cpu.stats * U32.t array * Injector.t option
 
-(* Assembles the trial result exactly like [Campaign.run_trial_with]
-   does from a simulated run. *)
-let wrap_up ~(bench : Bench.t) ~stats ~output ~fault_bits ~fault_events =
-  let finished = stats.Cpu.outcome = Cpu.Exited in
-  let correct = finished && output = bench.Bench.golden in
-  let error =
-    if finished then bench.Bench.metric ~expected:bench.Bench.golden ~actual:output
-    else nan
+let simulate ~(bench : Bench.t) ~budget ?resume injector mem =
+  let config =
+    {
+      Cpu.default_config with
+      Cpu.max_cycles = budget;
+      Cpu.fault_hook = Some (Injector.hook injector);
+    }
   in
-  {
-    finished;
-    correct;
-    fault_bits;
-    fault_events;
-    kernel_cycles = max 1 stats.Cpu.kernel_cycles;
-    error;
-  }
+  let stats =
+    Cpu.run ~config ?resume mem ~entry:bench.Bench.program.Sfi_isa.Program.entry
+  in
+  let output =
+    if stats.Cpu.outcome = Cpu.Exited then Bench.read_output bench mem else [||]
+  in
+  (stats, output, Some injector)
 
 (* Per-class-index gaussian-skip table for a probe injector: [k >= 0]
    means a hook call for that class is a provable no-op consuming
@@ -285,50 +229,16 @@ let skip_table probe =
       match Injector.skippable_gaussians probe cls with Some k -> k | None -> -1)
     class_of_index
 
-(* The bare probe, for statistical validation: where (and in which
-   class) would this trial's first fault land? Walks a copy of the
-   stream, so the caller's [rng] is untouched. *)
-let first_fault ~model ~freq_mhz ~trace ~rng =
-  let probe_rng = Rng.copy rng in
-  let probe = Injector.create ~count_obs:false ~model ~freq_mhz ~rng:probe_rng () in
-  let hook = Injector.hook probe in
-  let skip_tab = skip_table probe in
-  let pending = ref 0 in
-  let flush () =
-    if !pending > 0 then begin
-      Rng.skip_gaussians probe_rng !pending;
-      pending := 0
-    end
-  in
-  let n = Array.length trace.sched_cycle in
-  let rec go i =
-    if i >= n then None
-    else begin
-      let ci = trace.sched_cls.(i) in
-      let k = Array.unsafe_get skip_tab ci in
-      if k >= 0 then begin
-        pending := !pending + k;
-        go (i + 1)
-      end
-      else begin
-        flush ();
-        let c = trace.sched_cycle.(i) in
-        let cls = class_of_index.(ci) in
-        if hook ~cycle:c ~cls ~a:0 ~b:0 ~result:0 <> 0 then Some (c, cls)
-        else go (i + 1)
-      end
-    end
-  in
-  go 0
-
-let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
-  (* The probe: a silent injector walking the recorded schedule against
-     a copy of the trial stream. Every hook call consumes exactly the
-     draws the full run's corresponding call would (the models ignore
-     cycle and operands), so the first nonzero mask found here IS the
-     trial's first fault, and the RNG copies taken at snapshot
-     boundaries are exactly the stream states a full run would carry
-     into those cycles. *)
+(* The probe: a silent injector walking the recorded schedule against a
+   copy of the trial stream, so the caller's [rng] is untouched. Every
+   hook call consumes exactly the draws the full run's corresponding
+   call would (the models ignore cycle and operands), so the first
+   nonzero mask found here IS the trial's first fault, and the RNG copy
+   taken at a snapshot boundary is exactly the stream state a full run
+   would carry into that cycle. Returns the schedule index of the first
+   fault ([-1] if there is none), the last snapshot crossed before it
+   and the stream state at that boundary. *)
+let probe ~model ~freq_mhz ~trace ~rng =
   let probe_rng = Rng.copy rng in
   let probe = Injector.create ~count_obs:false ~model ~freq_mhz ~rng:probe_rng () in
   let hook = Injector.hook probe in
@@ -343,9 +253,7 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
   let n = Array.length trace.sched_cycle in
   let snaps = trace.snaps in
   let n_snaps = Array.length snaps in
-  let boundary = Array.make n_snaps rng in
-  (* filled up to [next_snap) *)
-  let next_snap = ref 0 in
+  let next_snap = ref 0 and boundary = ref rng in
   let fault_at = ref (-1) in
   let i = ref 0 in
   while !fault_at < 0 && !i < n do
@@ -361,7 +269,7 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
       && Cpu.snapshot_cycle (Array.unsafe_get snaps !next_snap).state <= c
     do
       flush ();
-      boundary.(!next_snap) <- Rng.copy probe_rng;
+      boundary := Rng.copy probe_rng;
       incr next_snap
     done;
     let ci = Array.unsafe_get trace.sched_cls !i in
@@ -376,15 +284,23 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
       if hook ~cycle:c ~cls ~a:0 ~b:0 ~result:0 <> 0 then fault_at := !i else incr i
     end
   done;
-  if !fault_at < 0 then begin
+  (!fault_at, !next_snap - 1, !boundary)
+
+let first_fault ~model ~freq_mhz ~trace ~rng =
+  let i, _, _ = probe ~model ~freq_mhz ~trace ~rng in
+  if i < 0 then None
+  else Some (trace.sched_cycle.(i), class_of_index.(trace.sched_cls.(i)))
+
+let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
+  let fault_at, j, boundary = probe ~model ~freq_mhz ~trace ~rng in
+  if fault_at < 0 then begin
     (* Provably fault-free: the trial is the reference run. *)
     Sfi_obs.Counter.incr obs_elided;
     Sfi_obs.Counter.add obs_cycles_elided trace.ref_stats.Cpu.cycles;
-    wrap_up ~bench ~stats:trace.ref_stats ~output:trace.ref_output ~fault_bits:0
-      ~fault_events:0
+    (trace.ref_stats, trace.ref_output, None)
   end
   else begin
-    (* First fault at schedule entry [!fault_at]: restore the nearest
+    (* First fault at schedule entry [fault_at]: restore the nearest
        preceding snapshot — [snaps.(0)] sits at cycle 0, so [j >= 0] —
        and simulate the suffix with a real injector seeded from the
        boundary stream state. The replayed window between the snapshot
@@ -392,7 +308,7 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
        0, all under the re-armed fi_on window the snapshot carries),
        then injects the same first fault and runs the divergent tail
        under the same absolute cycle budget as a full run. *)
-    let j = !next_snap - 1 in
+    let snaps = trace.snaps in
     let restore_cycle = Cpu.snapshot_cycle snaps.(j).state in
     let mem = Bench.fresh_memory bench in
     for k = 0 to j do
@@ -400,22 +316,12 @@ let run_trial ~(bench : Bench.t) ~model ~freq_mhz ~budget ~trace ~rng =
         (fun (p, s) -> Memory.blit_from_string mem ~pos:(p * trace.trace_page_size) s)
         snaps.(k).pages
     done;
-    let injector = Injector.create ~model ~freq_mhz ~rng:boundary.(j) () in
-    let config =
-      {
-        Cpu.default_config with
-        Cpu.max_cycles = budget;
-        Cpu.fault_hook = Some (Injector.hook injector);
-      }
-    in
-    let stats =
-      Cpu.run ~config ~resume:snaps.(j).state mem
-        ~entry:bench.Bench.program.Sfi_isa.Program.entry
+    let injector = Injector.create ~model ~freq_mhz ~rng:boundary () in
+    let ((stats, _, _) as run) =
+      simulate ~bench ~budget ~resume:snaps.(j).state injector mem
     in
     Sfi_obs.Counter.incr obs_restores;
     Sfi_obs.Counter.add obs_suffix_cycles (stats.Cpu.cycles - restore_cycle);
     Sfi_obs.Counter.add obs_cycles_elided restore_cycle;
-    let output = if stats.Cpu.outcome = Cpu.Exited then Bench.read_output bench mem else [||] in
-    wrap_up ~bench ~stats ~output ~fault_bits:(Injector.fault_bits injector)
-      ~fault_events:(Injector.fault_events injector)
+    run
   end

@@ -40,20 +40,27 @@ val trace_for_model : bench:Bench.t -> model:Model.t -> stride:int -> trace opti
 (** {!trace_for}, gated on the model's fast-forward contract: a
     {!Model.cycle_dependent} model (every attack family) gets [None] —
     bumping the det:false [fastforward.model_unsupported] counter — so
-    the campaign falls back to full replay instead of an unsound probe,
-    whether fast-forward was requested via [Auto] or an explicit [On].
+    the campaign falls back to full replay instead of an unsound probe.
     Never silently diverges: the probe's schedule replay assumes masks
     ignore cycle numbers, operand values and pre-run state. *)
 
-type result = {
-  finished : bool;
-  correct : bool;
-  fault_bits : int;
-  fault_events : int;
-  kernel_cycles : int;
-  error : float;
-}
-(** Field-for-field what [Campaign]'s full-replay trial produces. *)
+type run = Sfi_sim.Cpu.stats * U32.t array * Injector.t option
+(** A trial's raw outcome, before [Campaign] assembles its result: the
+    run's stats, its output words ([[||]] unless it exited) and the real
+    injector that drove it — [None] for an elided trial, which injected
+    nothing. *)
+
+val simulate :
+  bench:Bench.t ->
+  budget:int ->
+  ?resume:Sfi_sim.Cpu.snapshot ->
+  Injector.t ->
+  Sfi_sim.Memory.t ->
+  run
+(** One simulation of [bench] in [mem] under the injector's hook and
+    the absolute cycle watchdog [budget], from the reset state or from
+    [resume]: the run a full-replay trial and a fast-forwarded suffix
+    both perform. *)
 
 val first_fault :
   model:Model.t ->
@@ -61,7 +68,7 @@ val first_fault :
   trace:trace ->
   rng:Rng.t ->
   (int * Op_class.t) option
-(** The analytic first-fault sampler on its own, for statistical
+(** The probe {!run_trial} starts with, on its own, for statistical
     validation: the cycle and instruction class of the trial's first
     injected fault, or [None] for a provably fault-free trial. Walks a
     copy of [rng]; the caller's stream is untouched. By the
@@ -75,8 +82,10 @@ val run_trial :
   budget:int ->
   trace:trace ->
   rng:Rng.t ->
-  result
-(** One fast-forwarded trial on the trial's pre-split [rng] stream.
-    [budget] is the same absolute cycle watchdog a full-replay trial
-    would use; resumed suffixes inherit the snapshot's cycle counter, so
-    the watchdog trips at the identical absolute cycle. *)
+  run
+(** One fast-forwarded trial on the trial's pre-split [rng] stream:
+    the reference run itself when the probe finds no fault, else the
+    suffix from the snapshot before the first fault. [budget] is the
+    same absolute cycle watchdog a full-replay trial would use; resumed
+    suffixes inherit the snapshot's cycle counter, so the watchdog trips
+    at the identical absolute cycle. *)

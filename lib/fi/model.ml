@@ -754,11 +754,20 @@ let pint merged name =
 
 (* ---------- the registry ---------- *)
 
+let need_arrivals ~key resources k =
+  match resources.endpoint_arrivals with
+  | Some arr -> k arr
+  | None -> Error (Printf.sprintf "model %s requires STA endpoint arrivals" key)
+
+let need_db ~key resources k =
+  match resources.db with
+  | Some db -> k db
+  | None -> Error (Printf.sprintf "model %s requires a DTA characterization database" key)
+
 module Registry = struct
   type entry = {
     key : string;
     doc : string;
-    version : int;
     features : features;
     cycle_dependent : bool;
     wants_arrivals : bool;
@@ -768,22 +777,170 @@ module Registry = struct
       resources:resources -> params:(string * Json.t) list -> (t, string) result;
   }
 
-  let table : entry list ref = ref []
+  (* The shipped models, in listing order. *)
+  let table =
+    [
+      {
+        key = "A";
+        doc = "fixed-probability random bit flips (baseline)";
+        features = features_a;
+        cycle_dependent = false;
+        wants_arrivals = false;
+        wants_db = false;
+        default_params = [ ("p", Json.Float 1e-6) ];
+        build =
+          (fun ~resources:_ ~params -> Ok (make_a ~bit_flip_prob:(pfloat params "p")));
+      };
+      {
+        key = "B";
+        doc = "static-timing period violation (no supply noise)";
+        features = features_b;
+        cycle_dependent = false;
+        wants_arrivals = true;
+        wants_db = false;
+        default_params = [];
+        build =
+          (fun ~resources:r ~params:_ ->
+            need_arrivals ~key:"B" r (fun arr ->
+                Ok
+                  (make_static_timing ~key:"B" ~features:features_b
+                     ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
+                     ~noise:Noise.none ~vdd_model:r.vdd_model)));
+      };
+      {
+        key = "B+";
+        doc = "static timing with per-cycle supply-noise modulation";
+        features = features_bplus;
+        cycle_dependent = false;
+        wants_arrivals = true;
+        wants_db = false;
+        default_params = [];
+        build =
+          (fun ~resources:r ~params:_ ->
+            need_arrivals ~key:"B+" r (fun arr ->
+                Ok
+                  (make_static_timing ~key:"B+" ~features:features_bplus
+                     ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
+                     ~noise:r.noise ~vdd_model:r.vdd_model)));
+      };
+      {
+        key = "C";
+        doc = "instruction-aware statistical injection (independent endpoints)";
+        features = features_c;
+        cycle_dependent = false;
+        wants_arrivals = false;
+        wants_db = true;
+        default_params = [];
+        build =
+          (fun ~resources:r ~params:_ ->
+            need_db ~key:"C" r (fun db ->
+                Ok
+                  (make_statistical ~key:"C" ~db ~vdd:r.vdd ~noise:r.noise
+                     ~vdd_model:r.vdd_model ~sampling:Independent)));
+      };
+      {
+        key = "C-corr";
+        doc = "statistical injection with vector-correlated endpoint sampling";
+        features = features_c;
+        cycle_dependent = false;
+        wants_arrivals = false;
+        wants_db = true;
+        default_params = [];
+        build =
+          (fun ~resources:r ~params:_ ->
+            need_db ~key:"C-corr" r (fun db ->
+                Ok
+                  (make_statistical ~key:"C-corr" ~db ~vdd:r.vdd ~noise:r.noise
+                     ~vdd_model:r.vdd_model ~sampling:Vector_correlated)));
+      };
+      {
+        key = "glitch";
+        doc = "voltage glitch in attacker-chosen cycle windows (attack)";
+        features = features_glitch;
+        cycle_dependent = true;
+        wants_arrivals = true;
+        wants_db = false;
+        default_params =
+          [
+            ("start", Json.Int 0);      (* first attacked cycle *)
+            ("len", Json.Int 16);       (* window length, cycles *)
+            ("every", Json.Int 0);      (* repeat interval; 0 = one-shot *)
+            ("drop_mv", Json.Float 120.); (* supply droop inside the window *)
+          ];
+        build =
+          (fun ~resources:r ~params ->
+            need_arrivals ~key:"glitch" r (fun arr ->
+                let start = pint params "start"
+                and len = pint params "len"
+                and every = pint params "every"
+                and drop_mv = pfloat params "drop_mv" in
+                if start < 0 || len < 0 || every < 0 || drop_mv < 0. then
+                  Error "model glitch: start/len/every/drop_mv must be non-negative"
+                else
+                  make_glitch ~params ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
+                    ~vdd:r.vdd ~vdd_model:r.vdd_model ~start ~len ~every ~drop_mv));
+      };
+      {
+        key = "skip";
+        doc = "InjectV-style instruction skip with probability p (attack)";
+        features = features_skip;
+        cycle_dependent = true;
+        wants_arrivals = false;
+        wants_db = false;
+        default_params = [ ("p", Json.Float 1e-4) ];
+        build =
+          (fun ~resources:_ ~params ->
+            let p = pfloat params "p" in
+            if p < 0. || p > 1. then Error "model skip: p must be in [0, 1]"
+            else Ok (make_skip ~params ~p));
+      };
+      {
+        key = "opcode";
+        doc = "InjectV-style opcode corruption with probability p (attack)";
+        features = features_opcode;
+        cycle_dependent = true;
+        wants_arrivals = false;
+        wants_db = false;
+        default_params = [ ("p", Json.Float 1e-4) ];
+        build =
+          (fun ~resources:_ ~params ->
+            let p = pfloat params "p" in
+            if p < 0. || p > 1. then Error "model opcode: p must be in [0, 1]"
+            else Ok (make_opcode ~params ~p));
+      };
+      {
+        key = "state";
+        doc = "random architectural-state bit flips at trial start (attack)";
+        features = features_state;
+        cycle_dependent = true;
+        wants_arrivals = false;
+        wants_db = false;
+        default_params =
+          [
+            ("flips", Json.Int 1);
+            ("word_lo", Json.Int 0); (* word-address window, [lo, hi) *)
+            ("word_hi", Json.Int 0); (* 0 = end of memory *)
+          ];
+        build =
+          (fun ~resources:_ ~params ->
+            let flips = pint params "flips"
+            and word_lo = pint params "word_lo"
+            and word_hi = pint params "word_hi" in
+            if flips < 0 || word_lo < 0 || word_hi < 0 then
+              Error "model state: flips/word_lo/word_hi must be non-negative"
+            else Ok (make_state ~params ~flips ~word_lo ~word_hi));
+      };
+    ]
 
   let canon k = String.lowercase_ascii k
 
   let find k =
     let k = canon k in
-    List.find_opt (fun e -> canon e.key = k) !table
+    List.find_opt (fun e -> canon e.key = k) table
 
-  let register e =
-    if find e.key <> None then
-      invalid_arg (Printf.sprintf "Model.Registry.register: duplicate key %S" e.key);
-    table := !table @ [ e ]
+  let keys () = List.map (fun e -> e.key) table
 
-  let keys () = List.map (fun e -> e.key) !table
-
-  let entries () = !table
+  let entries () = table
 
   let make ?(params = []) e resources =
     match merge_params ~key:e.key ~defaults:e.default_params ~params with
@@ -810,184 +967,3 @@ let of_string ~resources s =
       Error (Printf.sprintf "model %s: bad parameter JSON: %s" k msg)
     | Json.Obj fields -> of_key ~params:fields ~resources k
     | _ -> Error (Printf.sprintf "model %s: parameters must be a JSON object" k))
-
-(* ---------- built-in registrations ---------- *)
-
-let need_arrivals ~key resources k =
-  match resources.endpoint_arrivals with
-  | Some arr -> k arr
-  | None -> Error (Printf.sprintf "model %s requires STA endpoint arrivals" key)
-
-let need_db ~key resources k =
-  match resources.db with
-  | Some db -> k db
-  | None -> Error (Printf.sprintf "model %s requires a DTA characterization database" key)
-
-let () =
-  Registry.register
-    {
-      Registry.key = "A";
-      doc = "fixed-probability random bit flips (baseline)";
-      version = 1;
-      features = features_a;
-      cycle_dependent = false;
-      wants_arrivals = false;
-      wants_db = false;
-      default_params = [ ("p", Json.Float 1e-6) ];
-      build = (fun ~resources:_ ~params -> Ok (make_a ~bit_flip_prob:(pfloat params "p")));
-    };
-  Registry.register
-    {
-      Registry.key = "B";
-      doc = "static-timing period violation (no supply noise)";
-      version = 1;
-      features = features_b;
-      cycle_dependent = false;
-      wants_arrivals = true;
-      wants_db = false;
-      default_params = [];
-      build =
-        (fun ~resources:r ~params:_ ->
-          need_arrivals ~key:"B" r (fun arr ->
-              Ok
-                (make_static_timing ~key:"B" ~features:features_b
-                   ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
-                   ~noise:Noise.none ~vdd_model:r.vdd_model)));
-    };
-  Registry.register
-    {
-      Registry.key = "B+";
-      doc = "static timing with per-cycle supply-noise modulation";
-      version = 1;
-      features = features_bplus;
-      cycle_dependent = false;
-      wants_arrivals = true;
-      wants_db = false;
-      default_params = [];
-      build =
-        (fun ~resources:r ~params:_ ->
-          need_arrivals ~key:"B+" r (fun arr ->
-              Ok
-                (make_static_timing ~key:"B+" ~features:features_bplus
-                   ~endpoint_arrivals:arr ~setup_ps:r.setup_ps ~vdd:r.vdd
-                   ~noise:r.noise ~vdd_model:r.vdd_model)));
-    };
-  Registry.register
-    {
-      Registry.key = "C";
-      doc = "instruction-aware statistical injection (independent endpoints)";
-      version = 1;
-      features = features_c;
-      cycle_dependent = false;
-      wants_arrivals = false;
-      wants_db = true;
-      default_params = [];
-      build =
-        (fun ~resources:r ~params:_ ->
-          need_db ~key:"C" r (fun db ->
-              Ok
-                (make_statistical ~key:"C" ~db ~vdd:r.vdd ~noise:r.noise
-                   ~vdd_model:r.vdd_model ~sampling:Independent)));
-    };
-  Registry.register
-    {
-      Registry.key = "C-corr";
-      doc = "statistical injection with vector-correlated endpoint sampling";
-      version = 1;
-      features = features_c;
-      cycle_dependent = false;
-      wants_arrivals = false;
-      wants_db = true;
-      default_params = [];
-      build =
-        (fun ~resources:r ~params:_ ->
-          need_db ~key:"C-corr" r (fun db ->
-              Ok
-                (make_statistical ~key:"C-corr" ~db ~vdd:r.vdd ~noise:r.noise
-                   ~vdd_model:r.vdd_model ~sampling:Vector_correlated)));
-    };
-  Registry.register
-    {
-      Registry.key = "glitch";
-      doc = "voltage glitch in attacker-chosen cycle windows (attack)";
-      version = 1;
-      features = features_glitch;
-      cycle_dependent = true;
-      wants_arrivals = true;
-      wants_db = false;
-      default_params =
-        [
-          ("start", Json.Int 0);      (* first attacked cycle *)
-          ("len", Json.Int 16);       (* window length, cycles *)
-          ("every", Json.Int 0);      (* repeat interval; 0 = one-shot *)
-          ("drop_mv", Json.Float 120.); (* supply droop inside the window *)
-        ];
-      build =
-        (fun ~resources:r ~params ->
-          need_arrivals ~key:"glitch" r (fun arr ->
-              let start = pint params "start"
-              and len = pint params "len"
-              and every = pint params "every"
-              and drop_mv = pfloat params "drop_mv" in
-              if start < 0 || len < 0 || every < 0 || drop_mv < 0. then
-                Error "model glitch: start/len/every/drop_mv must be non-negative"
-              else
-                make_glitch ~params ~endpoint_arrivals:arr ~setup_ps:r.setup_ps
-                  ~vdd:r.vdd ~vdd_model:r.vdd_model ~start ~len ~every ~drop_mv));
-    };
-  Registry.register
-    {
-      Registry.key = "skip";
-      doc = "InjectV-style instruction skip with probability p (attack)";
-      version = 1;
-      features = features_skip;
-      cycle_dependent = true;
-      wants_arrivals = false;
-      wants_db = false;
-      default_params = [ ("p", Json.Float 1e-4) ];
-      build =
-        (fun ~resources:_ ~params ->
-          let p = pfloat params "p" in
-          if p < 0. || p > 1. then Error "model skip: p must be in [0, 1]"
-          else Ok (make_skip ~params ~p));
-    };
-  Registry.register
-    {
-      Registry.key = "opcode";
-      doc = "InjectV-style opcode corruption with probability p (attack)";
-      version = 1;
-      features = features_opcode;
-      cycle_dependent = true;
-      wants_arrivals = false;
-      wants_db = false;
-      default_params = [ ("p", Json.Float 1e-4) ];
-      build =
-        (fun ~resources:_ ~params ->
-          let p = pfloat params "p" in
-          if p < 0. || p > 1. then Error "model opcode: p must be in [0, 1]"
-          else Ok (make_opcode ~params ~p));
-    };
-  Registry.register
-    {
-      Registry.key = "state";
-      doc = "random architectural-state bit flips at trial start (attack)";
-      version = 1;
-      features = features_state;
-      cycle_dependent = true;
-      wants_arrivals = false;
-      wants_db = false;
-      default_params =
-        [
-          ("flips", Json.Int 1);
-          ("word_lo", Json.Int 0); (* word-address window, [lo, hi) *)
-          ("word_hi", Json.Int 0); (* 0 = end of memory *)
-        ];
-      build =
-        (fun ~resources:_ ~params ->
-          let flips = pint params "flips"
-          and word_lo = pint params "word_lo"
-          and word_hi = pint params "word_hi" in
-          if flips < 0 || word_lo < 0 || word_hi < 0 then
-            Error "model state: flips/word_lo/word_hi must be non-negative"
-          else Ok (make_state ~params ~flips ~word_lo ~word_hi));
-    }

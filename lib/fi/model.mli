@@ -100,7 +100,7 @@ val cycle_dependent : t -> bool
     cycle-dependent; the built-ins are not. *)
 
 val params : t -> (string * Sfi_obs.Json.t) list
-(** Canonical parameter assoc (defaults merged in registration order).
+(** Canonical parameter assoc (defaults merged in declaration order).
     Empty for models fully determined by their resources. *)
 
 val to_string : t -> string
@@ -137,7 +137,6 @@ module Registry : sig
   type entry = {
     key : string;          (** stable, unique (case-insensitive) *)
     doc : string;          (** one-line description for listings *)
-    version : int;         (** parameter-codec version, part of new-model fingerprints *)
     features : features;
     cycle_dependent : bool;
     wants_arrivals : bool; (** requires [resources.endpoint_arrivals] *)
@@ -150,16 +149,11 @@ module Registry : sig
       (t, string) result;
   }
 
-  val register : entry -> unit
-  (** Raises [Invalid_argument] on a duplicate key. The nine shipped
-      models self-register at module initialization. *)
-
   val find : string -> entry option
   (** Case-insensitive key lookup. *)
 
   val keys : unit -> string list
-  (** Registration order: A, B, B+, C, C-corr, glitch, skip, opcode,
-      state, then any externally registered models. *)
+  (** Listing order: A, B, B+, C, C-corr, glitch, skip, opcode, state. *)
 
   val entries : unit -> entry list
 

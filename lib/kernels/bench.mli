@@ -39,6 +39,13 @@ val run_fault_free : ?max_cycles:int -> ?engine:Cpu.engine -> t -> Cpu.stats * U
     {!validate}. [engine] selects the simulator engine (default: the
     process-wide {!Cpu.set_default_engine} value). *)
 
+val add_fingerprint : t -> Sfi_cache.Fingerprint.t -> unit
+(** Appends everything that determines a fault-free run — memory
+    geometry, the loaded program image and the pipeline penalty
+    constants, but not the name — to a cache/checkpoint fingerprint.
+    The bench part of the ["sfi-refcycles/1"], ["sfi-snap/1"] and
+    ["sfi-point-ckpt/1"] keys. *)
+
 val validate : t -> Cpu.stats
 (** Runs fault-free and raises [Failure] if the outcome is not [Exited]
     or the outputs differ from [golden]. Returns the stats. *)

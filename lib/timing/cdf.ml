@@ -18,7 +18,7 @@ let min_value t = t.(0)
 let max_value t = t.(Array.length t - 1)
 
 (* Number of samples <= x. *)
-let count_leq t x =
+let count_leq (t : float array) (x : float) =
   let lo = ref 0 and hi = ref (Array.length t) in
   while !hi > !lo do
     let mid = (!lo + !hi) / 2 in

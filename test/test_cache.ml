@@ -141,12 +141,49 @@ let test_disabled_noop () =
     ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int option) = None);
   let calls = ref 0 in
   let v =
-    Sfi_cache.memo ~namespace:"ns" ~key:"k" (fun () ->
+    Sfi_cache.memo ~namespace:"ns" ~key:(fun () -> "k") (fun () ->
         incr calls;
         7)
   in
   Alcotest.(check int) "memo computes" 7 v;
   Alcotest.(check int) "compute ran" 1 !calls
+
+(* [memo] forces its key only while caching is on; a loaded value that
+   fails [valid] is recomputed and stored again, and a computed value
+   that fails it is returned but never stored. *)
+let test_memo_key_and_validity () =
+  Sfi_cache.set_dir None;
+  let forced = ref 0 and calls = ref 0 in
+  let key () =
+    incr forced;
+    "k"
+  in
+  let compute v () =
+    incr calls;
+    v
+  in
+  Alcotest.(check int) "disabled computes" 1 (Sfi_cache.memo ~namespace:"ns" ~key (compute 1));
+  Alcotest.(check int) "key not forced while disabled" 0 !forced;
+  with_temp_cache @@ fun _dir ->
+  let positive n = n > 0 in
+  Sfi_cache.store ~namespace:"ns" ~key:"k" (-5);
+  let s0 = value c_stores in
+  calls := 0;
+  Alcotest.(check int) "invalid entry recomputed" 7
+    (Sfi_cache.memo ~namespace:"ns" ~key ~valid:positive (compute 7));
+  Alcotest.(check int) "computed once" 1 !calls;
+  Alcotest.(check int) "key forced once" 1 !forced;
+  Alcotest.(check int) "recomputed value stored" (s0 + 1) (value c_stores);
+  Alcotest.(check bool) "entry replaced" true
+    ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int option) = Some 7);
+  Alcotest.(check int) "valid entry served" 7
+    (Sfi_cache.memo ~namespace:"ns" ~key ~valid:positive (compute 8));
+  Alcotest.(check int) "no recompute on a valid hit" 1 !calls;
+  Alcotest.(check int) "invalid result returned" (-1)
+    (Sfi_cache.memo ~namespace:"ns" ~key:(fun () -> "k2") ~valid:positive (compute (-1)));
+  Alcotest.(check int) "invalid result not stored" (s0 + 1) (value c_stores);
+  Alcotest.(check bool) "no entry for it" true
+    ((Sfi_cache.load ~namespace:"ns" ~key:"k2" : int option) = None)
 
 (* ---------- corruption and truncation rejection ---------- *)
 
@@ -161,7 +198,7 @@ let test_corruption_rejected () =
   Alcotest.(check int) "rejection counted" (r0 + 1) (value c_corrupt);
   Alcotest.(check bool) "bad file removed" false (Sys.file_exists path);
   (* memo recomputes and repopulates *)
-  let v = Sfi_cache.memo ~namespace:"ns" ~key:"k" (fun () -> [| 9 |]) in
+  let v = Sfi_cache.memo ~namespace:"ns" ~key:(fun () -> "k") (fun () -> [| 9 |]) in
   Alcotest.(check bool) "recomputed" true (v = [| 9 |]);
   Alcotest.(check bool) "repopulated" true
     ((Sfi_cache.load ~namespace:"ns" ~key:"k" : int array option) = Some [| 9 |])
@@ -350,6 +387,7 @@ let () =
         [
           Alcotest.test_case "store/load round-trip" `Quick test_roundtrip;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
+          Alcotest.test_case "memo key and validity" `Quick test_memo_key_and_validity;
           Alcotest.test_case "corruption rejected" `Quick test_corruption_rejected;
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
           Alcotest.test_case "version mismatch rejected" `Quick

@@ -305,6 +305,23 @@ let test_snap_version_bump_rejected () =
   Alcotest.(check bool) "bumped version rejected" true
     (load_trace ~key:e.Sfi_cache.key = None)
 
+(* A reference run that does not exit yields no trace, and nothing is
+   stored for it: the campaign falls back to full replay. A misaligned
+   entry point traps on the first fetch. *)
+let test_trapping_reference_not_stored () =
+  with_temp_cache @@ fun dir ->
+  let median = Lazy.force bench_for_cache in
+  let p = median.Bench.program in
+  let bench =
+    {
+      median with
+      Bench.name = "median-trap";
+      program = { p with Sfi_isa.Program.entry = p.Sfi_isa.Program.entry + 2 };
+    }
+  in
+  Alcotest.(check bool) "no trace" true (Fastforward.trace_for ~bench ~stride:64 = None);
+  Alcotest.(check int) "nothing stored" 0 (List.length (Sfi_cache.scan ~dir))
+
 let test_cold_warm_det_signature () =
   with_temp_cache @@ fun _dir ->
   let bench = Option.get (Registry.by_name "mat_mult_8bit") in
@@ -341,6 +358,8 @@ let () =
         [
           Alcotest.test_case "corruption rejected" `Quick test_snap_corruption_rejected;
           Alcotest.test_case "truncation rejected" `Quick test_snap_truncation_rejected;
+          Alcotest.test_case "trapping reference not stored" `Quick
+            test_trapping_reference_not_stored;
           Alcotest.test_case "version bump rejected" `Quick
             test_snap_version_bump_rejected;
           Alcotest.test_case "cold/warm det signature" `Quick
