@@ -26,37 +26,36 @@ let speedup ~reference ~production = reference /. Float.max 1e-9 production
 
 (* ---------- characterization kernels: scalar vs packed ---------- *)
 
-(* The same characterization run on both kernels, serially, timed. The
-   cache must be off here: fingerprints are engine-independent by
-   design, so a warm cache would serve engine B the database engine A
-   just wrote. *)
+(* The same characterization on the scalar oracle and on the production
+   packed kernel, serially, timed. Caching stays off, so the packed run
+   computes its database instead of loading a stored one. *)
 let kernel_compare ~cycles () =
-  if not (Sfi_netlist.Bitsim.available ()) then
-    Printf.printf "kernel compare: skipped (packed engine unavailable on this target)\n%!"
-  else begin
-    Sfi_cache.set_dir None;
-    (* A clean heap for a clean measurement: the comparison runs first
-       (and compacts away whatever setup allocated), so GC pressure from
-       unrelated fixtures cannot skew the engine-vs-engine ratio. *)
-    Gc.compact ();
-    let alu = Flow.alu (Flow.create ()) in
-    let run engine =
-      let t0 = Unix.gettimeofday () in
-      let spec = Spec.(default |> with_jobs 1) in
-      let db = Sfi_timing.Characterize.run ~cycles ~spec ~engine ~vdd:0.7 alu in
-      (db, Unix.gettimeofday () -. t0)
-    in
-    let sdb, scalar_wall_s = run Sfi_timing.Characterize.Scalar in
-    let pdb, packed_wall_s = run Sfi_timing.Characterize.Auto in
-    if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
-      failwith "kernel compare: packed database differs from scalar";
-    let x = speedup ~reference:scalar_wall_s ~production:packed_wall_s in
-    Printf.printf
-      "kernel compare: %d cycles/class, scalar %.2f s, packed %.2f s (%.2fx), \
-       databases bit-identical\n%!"
-      cycles scalar_wall_s packed_wall_s x;
-    if x < 1.0 then failwith "kernel compare: packed engine slower than scalar"
-  end
+  Sfi_cache.set_dir None;
+  (* A clean heap for a clean measurement: the comparison runs first
+     (and compacts away whatever setup allocated), so GC pressure from
+     unrelated fixtures cannot skew the engine-vs-engine ratio. *)
+  Gc.compact ();
+  let alu = Flow.alu (Flow.create ()) in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let db = f () in
+    (db, Unix.gettimeofday () -. t0)
+  in
+  let sdb, scalar_wall_s =
+    timed (fun () -> Sfi_oracle.Scalar_characterize.run ~cycles ~vdd:0.7 alu)
+  in
+  let spec = Spec.(default |> with_jobs 1) in
+  let pdb, packed_wall_s =
+    timed (fun () -> Sfi_timing.Characterize.run ~cycles ~spec ~vdd:0.7 alu)
+  in
+  if Marshal.to_string sdb [] <> Marshal.to_string pdb [] then
+    failwith "kernel compare: packed database differs from scalar";
+  let x = speedup ~reference:scalar_wall_s ~production:packed_wall_s in
+  Printf.printf
+    "kernel compare: %d cycles/class, scalar %.2f s, packed %.2f s (%.2fx), \
+     databases bit-identical\n%!"
+    cycles scalar_wall_s packed_wall_s x;
+  if x < 1.0 then failwith "kernel compare: packed engine slower than scalar"
 
 (* ---------- ISS engines: interpreter vs compiled basic blocks ---------- *)
 

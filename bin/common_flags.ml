@@ -5,14 +5,20 @@
 open Cmdliner
 module Spec = Sfi_fi.Campaign.Spec
 
-(* --jobs: overrides the process-wide default job count (otherwise
-   SFI_JOBS or all cores) before any pool is created. *)
+(* The environment is read here and nowhere else: SFI_JOBS and
+   SFI_CACHE_DIR are cmdliner fallbacks of -j/--jobs and --cache-dir, so
+   a flag beats its variable and a malformed value is rejected at parse
+   time with a message naming it. *)
+
+(* -j/--jobs: overrides the process-wide default job count before any
+   pool is created. *)
 let jobs_arg =
   Arg.(value
        & opt (some int) None
        & info [ "j"; "jobs" ] ~docv:"N"
+           ~env:(Cmd.Env.info "SFI_JOBS")
            ~doc:"Worker domains for Monte-Carlo and characterization fan-out \
-                 (default: \\$SFI_JOBS or all cores).")
+                 (default: all cores).")
 
 let apply_jobs jobs =
   Option.iter
@@ -22,13 +28,8 @@ let apply_jobs jobs =
         exit 2);
       Sfi_util.Pool.set_default_jobs n)
     jobs;
-  let n =
-    try Sfi_util.Pool.default_jobs ()
-    with Invalid_argument msg ->
-      Printf.eprintf "sfi: %s\n" msg;
-      exit 2
-  in
-  Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!" n
+  Printf.printf "parallel engine: %d job(s) (of %d recommended domains)\n%!"
+    (Sfi_util.Pool.default_jobs ())
     (Domain.recommended_domain_count ())
 
 (* --obs: enables the observability registry for the run and writes the
@@ -56,18 +57,31 @@ let with_obs obs f =
     Printf.printf "wrote %s\n" path);
   r
 
-(* --cache-dir: enables the persistent on-disk cache for characterization
-   databases and reference cycle counts. Off unless given here or through
-   SFI_CACHE_DIR. *)
+(* --cache-dir: the persistent on-disk cache of characterization
+   databases, reference cycle counts and snapshot traces. Off unless
+   given; an empty value also means off. *)
 let cache_dir_arg =
-  Arg.(value
-       & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist characterization databases and benchmark reference cycle \
-                 counts under $(docv) and reuse matching entries on later runs \
-                 (default: \\$SFI_CACHE_DIR, else disabled).")
+  let nonempty = function Some "" -> None | d -> d in
+  Term.(const nonempty
+        $ Arg.(value
+               & opt (some string) None
+               & info [ "cache-dir" ] ~docv:"DIR"
+                   ~env:(Cmd.Env.info "SFI_CACHE_DIR")
+                   ~doc:"Persistent result cache: characterization databases, \
+                         benchmark reference cycle counts and snapshot traces are \
+                         stored under $(docv) and reused by later runs; $(b,sfi \
+                         cache) inspects it (default: caching off)."))
 
-let apply_cache_dir dir = Option.iter (fun d -> Sfi_cache.set_dir (Some d)) dir
+(* The run-wide flags -j/--jobs, --cache-dir and --obs as one term. It
+   evaluates to a wrapper that applies them (printing the job banner)
+   and runs the command body under --obs recording. *)
+let run_flags : ((unit -> unit) -> unit) Term.t =
+  let wrap jobs cache_dir obs body =
+    apply_jobs jobs;
+    Sfi_cache.set_dir cache_dir;
+    with_obs obs body
+  in
+  Term.(const wrap $ jobs_arg $ cache_dir_arg $ obs_arg)
 
 (* ---------- campaign spec flags ---------- *)
 

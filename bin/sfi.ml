@@ -8,21 +8,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The flags shared across subcommands (-j/--jobs, --seed, --obs,
-   --cache-dir, --adaptive/--ci-target/--checkpoint, ...) live in
-   Common_flags so every subcommand parses them identically. *)
-let jobs_arg = Common_flags.jobs_arg
-
-let apply_jobs = Common_flags.apply_jobs
-
-let obs_arg = Common_flags.obs_arg
-
-let with_obs = Common_flags.with_obs
-
-let cache_dir_arg = Common_flags.cache_dir_arg
-
-let apply_cache_dir = Common_flags.apply_cache_dir
-
 (* ---------- sfi experiments ---------- *)
 
 let experiments_cmd =
@@ -33,7 +18,7 @@ let experiments_cmd =
     Arg.(value & flag & info [ "paper" ] ~doc:"Paper-scale Monte-Carlo settings (slow).")
   in
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.") in
-  let run ids paper list_only jobs obs cache_dir
+  let run ids paper list_only run_with
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
     if list_only then
       List.iter
@@ -44,9 +29,7 @@ let experiments_cmd =
        with Invalid_argument msg ->
          Printf.eprintf "sfi: %s\n" msg;
          exit 2);
-      apply_jobs jobs;
-      apply_cache_dir cache_dir;
-      with_obs obs @@ fun () ->
+      run_with @@ fun () ->
       let scale = if paper then Sfi_core.Experiments.paper else Sfi_core.Experiments.fast in
       (* No nominal count here: each figure scales the policy template to
          its own trial count (an adaptive template's ceiling follows). *)
@@ -57,7 +40,7 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const run $ ids $ paper $ list_only $ jobs_arg $ obs_arg $ cache_dir_arg
+    Term.(const run $ ids $ paper $ list_only $ Common_flags.run_flags
           $ Common_flags.spec_flags)
 
 (* ---------- sfi flow ---------- *)
@@ -72,10 +55,8 @@ let flow_cmd =
          & opt int Sfi_core.Flow.default_config.Sfi_core.Flow.char_seed
          & info [ "seed" ] ~docv:"N" ~doc:"Characterization RNG seed.")
   in
-  let run char_cycles vdd seed jobs obs cache_dir =
-    apply_jobs jobs;
-    apply_cache_dir cache_dir;
-    with_obs obs @@ fun () ->
+  let run char_cycles vdd seed run_with =
+    run_with @@ fun () ->
     let config =
       {
         Sfi_core.Flow.default_config with
@@ -96,7 +77,7 @@ let flow_cmd =
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Build the gate-level flow and print its timing summary.")
-    Term.(const run $ char_cycles $ vdd $ seed $ jobs_arg $ obs_arg $ cache_dir_arg)
+    Term.(const run $ char_cycles $ vdd $ seed $ Common_flags.run_flags)
 
 (* ---------- sfi asm ---------- *)
 
@@ -192,11 +173,9 @@ let campaign_cmd =
              ~doc:"Also write the sweep as JSON (schema sfi-point/1).")
   in
   let run bench_name model_name model_params vdd sigma_mv trials lo hi step prob
-      char_cycles csv json jobs obs cache_dir
+      char_cycles csv json run_with
       (spec_flags : ?fixed_trials:int -> unit -> Sfi_fi.Campaign.Spec.t) =
-    apply_jobs jobs;
-    apply_cache_dir cache_dir;
-    with_obs obs @@ fun () ->
+    run_with @@ fun () ->
     match Sfi_kernels.Registry.by_name bench_name with
     | None ->
       Printf.eprintf "unknown benchmark %s (try: %s)\n" bench_name
@@ -301,7 +280,7 @@ let campaign_cmd =
     (Cmd.info "campaign" ~doc:"Run a Monte-Carlo fault-injection frequency sweep.")
     Term.(const run $ bench_name $ Common_flags.model_arg $ Common_flags.model_param_arg
           $ vdd $ sigma_mv $ trials $ lo $ hi $ step
-          $ prob $ char_cycles $ csv $ json $ jobs_arg $ obs_arg $ cache_dir_arg
+          $ prob $ char_cycles $ csv $ json $ Common_flags.run_flags
           $ Common_flags.spec_flags)
 
 (* ---------- sfi stats ---------- *)
@@ -448,22 +427,18 @@ let stats_cmd =
 (* ---------- sfi cache ---------- *)
 
 let cache_cmds =
-  let resolve dir =
-    match (match dir with Some _ -> dir | None -> Sfi_cache.dir ()) with
-    | Some d -> d
-    | None ->
-      prerr_endline "sfi cache: no cache directory (use --cache-dir or set SFI_CACHE_DIR)";
-      exit 2
-  in
+  (* The directory the subcommands operate on; they have no default. *)
   let dir_arg =
-    Arg.(value
-         & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Cache directory to operate on (default: \\$SFI_CACHE_DIR).")
+    let need = function
+      | Some d -> d
+      | None ->
+        prerr_endline "sfi cache: no cache directory (use --cache-dir or set SFI_CACHE_DIR)";
+        exit 2
+    in
+    Term.(const need $ Common_flags.cache_dir_arg)
   in
   let ls_cmd =
     let run dir =
-      let dir = resolve dir in
       let entries = Sfi_cache.scan ~dir in
       (* namespace -> payload codec, matching each producer's
          fingerprint label *)
@@ -497,7 +472,6 @@ let cache_cmds =
   in
   let verify_cmd =
     let run dir =
-      let dir = resolve dir in
       let entries = Sfi_cache.scan ~dir in
       let bad = List.filter (fun (e : Sfi_cache.entry_info) -> not e.Sfi_cache.valid) entries in
       List.iter
@@ -520,7 +494,6 @@ let cache_cmds =
            & info [ "max-age-days" ] ~docv:"DAYS" ~doc:"Also remove entries older than $(docv).")
     in
     let run dir all max_age =
-      let dir = resolve dir in
       let removed = Sfi_cache.prune ?max_age_days:max_age ~all ~dir () in
       Printf.printf "pruned %d entr%s from %s\n" removed
         (if removed = 1 then "y" else "ies")

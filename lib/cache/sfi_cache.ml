@@ -2,19 +2,11 @@ let schema_version = 1
 
 (* ---------- configuration ---------- *)
 
-(* The CLI override sits above the environment so `--cache-dir` wins
-   even when SFI_CACHE_DIR is exported. *)
-let override : string option option Atomic.t = Atomic.make None
+let active : string option Atomic.t = Atomic.make None
 
-let set_dir d = Atomic.set override (match d with None -> None | Some _ -> Some d)
+let set_dir d = Atomic.set active d
 
-let dir () =
-  match Atomic.get override with
-  | Some d -> d
-  | None -> (
-    match Sys.getenv_opt "SFI_CACHE_DIR" with
-    | Some d when d <> "" -> Some d
-    | _ -> None)
+let dir () = Atomic.get active
 
 let enabled () = dir () <> None
 

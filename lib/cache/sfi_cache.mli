@@ -23,9 +23,10 @@
       [cache.corrupt_rejected] counter.
 
     Caching is {b off by default}: it activates only when a directory
-    is configured through {!set_dir} (the CLI's [--cache-dir]) or the
-    [SFI_CACHE_DIR] environment variable, so the tier-1 determinism
-    tests run the real computation unless a test opts in.
+    is configured through {!set_dir} (the CLI's [--cache-dir], whose
+    fallback is the [SFI_CACHE_DIR] environment variable). The library
+    itself reads no environment, so the tier-1 determinism tests run the
+    real computation unless a test opts in.
 
     The obs counters ([cache.hits], [cache.misses], [cache.stores],
     [cache.corrupt_rejected], [cache.evictions]) are registered
@@ -40,12 +41,10 @@ val schema_version : int
 
 val set_dir : string option -> unit
 (** [set_dir (Some d)] enables caching in directory [d] (created on
-    first store), overriding the environment. [set_dir None] removes
-    the override, restoring the [SFI_CACHE_DIR] fallback. *)
+    first store); [set_dir None] disables it. *)
 
 val dir : unit -> string option
-(** The active cache directory: the {!set_dir} override if any, else a
-    non-empty [SFI_CACHE_DIR], else [None] (caching disabled). *)
+(** The active cache directory, [None] when caching is disabled. *)
 
 val enabled : unit -> bool
 

@@ -55,12 +55,13 @@ let alu t = t.alu
 
 let sta t = t.sta
 
-let sta_limit_mhz t ~vdd =
-  let report =
-    if vdd = Vdd_model.nominal_voltage then t.sta
-    else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
-  in
-  Sta.max_frequency_mhz report
+(* STA at [vdd]: the report computed at creation for the nominal
+   voltage, a fresh analysis otherwise. *)
+let sta_at t ~vdd =
+  if vdd = Vdd_model.nominal_voltage then t.sta
+  else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
+
+let sta_limit_mhz t ~vdd = Sta.max_frequency_mhz (sta_at t ~vdd)
 
 let char_db ?(profile = Characterize.uniform32) t ~vdd =
   let key = (vdd, profile.Characterize.profile_name) in
@@ -92,12 +93,7 @@ let model_a ~bit_flip_prob =
        ~params:[ ("p", Sfi_obs.Json.Float bit_flip_prob) ]
        ~resources:Sfi_fi.Model.default_resources)
 
-let endpoint_arrivals_at t ~vdd =
-  let report =
-    if vdd = Vdd_model.nominal_voltage then t.sta
-    else Sta.analyze ~vdd ~lib:t.config.lib ~vdd_model:t.config.vdd_model t.alu.Alu.circuit
-  in
-  Array.map snd report.Sta.endpoints
+let endpoint_arrivals_at t ~vdd = Array.map snd (sta_at t ~vdd).Sta.endpoints
 
 let static_resources t ~vdd ~noise =
   {

@@ -19,10 +19,10 @@
     fault-free run stands in for all trials.
 
     Points and sweeps execute on a {!Sfi_util.Pool} of [jobs] domains
-    (default: [Pool.default_jobs ()], i.e. the [SFI_JOBS] environment
-    variable or all cores). Results are bit-identical for every job
-    count: the per-trial RNG streams are split from the root seed in a
-    fixed order before dispatch, batches dispatch in index order, the
+    (default: [Pool.default_jobs ()], i.e. the CLI's [--jobs] or all
+    cores). Results are bit-identical for every job count: the
+    per-trial RNG streams are split from the root seed in a fixed order
+    before dispatch, batches dispatch in index order, the
     adaptive stopping rule is a pure function of the in-order results so
     far, and aggregation folds the trials in that same order.
 
@@ -64,11 +64,10 @@ type point = {
 val reference_cycles : Bench.t -> int
 (** The benchmark's fault-free cycle count, used for watchdog budgets.
     Memoized per benchmark name for the process lifetime; when the
-    persistent cache is enabled ({!Sfi_cache.set_dir} or
-    [SFI_CACHE_DIR]), the count is additionally stored on disk in the
-    ["refcycles"] namespace, keyed by the program image, memory
-    geometry and pipeline penalty constants (not the name — identical
-    images share an entry). *)
+    persistent cache is enabled ({!Sfi_cache.set_dir}), the count is
+    additionally stored on disk in the ["refcycles"] namespace, keyed
+    by the program image, memory geometry and pipeline penalty
+    constants (not the name — identical images share an entry). *)
 
 val run_trial :
   bench:Bench.t -> model:Model.t -> freq_mhz:float -> seed:int -> trial

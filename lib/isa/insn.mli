@@ -81,19 +81,11 @@ val op_class : t -> Op_class.t option
     compares, whose 1-bit flag register belongs to the timing-safe set of
     the case study's constraint strategy (paper Sec. 2.1). *)
 
-val is_alu : t -> bool
-(** [op_class t <> None]. *)
-
 val writes : t -> reg option
 (** Destination register, if any ([Jal]/[Jalr] write the link register). *)
 
 val reads : t -> reg list
 (** Source registers (excluding the implicit flag). *)
-
-val is_control : t -> bool
-(** Branches and jumps. *)
-
-val is_memory : t -> bool
 
 val cmp_name : cmp -> string
 (** e.g. ["gts"]. *)

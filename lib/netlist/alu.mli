@@ -43,11 +43,6 @@ val build : ?lib:Cell_lib.t -> unit -> t
 (** Generates a fresh ALU netlist with nominal (pre-sizing) delays from
     [lib] (default {!Cell_lib.default}). *)
 
-val unit_tag_of_class : Op_class.t -> string
-(** The sizing tag of the unit a class exercises. *)
-
-val select_net : t -> Op_class.t -> Circuit.net
-
 val drive : t -> Logic_sim.t -> Op_class.t -> U32.t -> U32.t -> unit
 (** Sets operand and one-hot select inputs on a logic simulator for one
     operation (does not call [eval]). *)

@@ -22,11 +22,6 @@ open Sfi_util
 
 let lanes = Sys.int_size
 
-(* The packed engines (and their bit-identity contract with the scalar
-   kernels) are validated on 63-lane words; a narrower int — 32-bit or
-   javascript targets — falls back to the scalar path instead. *)
-let available () = Sys.int_size >= 63
-
 (* All [lanes] bits set. [lnot 0] rather than [-1] to make the "bit
    mask, not number" reading explicit. *)
 let full_mask = lnot 0
@@ -41,67 +36,6 @@ let make_words (c : Circuit.t) =
   | Some n -> words.(n) <- full_mask
   | None -> ());
   words
-
-(* One gate, all lanes: the word transcription of [Circuit.eval_gate]
-   (for MUX2, fan-in order is [sel; taken-when-false; taken-when-true]). *)
-let eval_gate_word (c : Circuit.t) words gi =
-  let o = Array.unsafe_get c.Circuit.fanin_off gi in
-  let ins = c.Circuit.fanin_net in
-  match Array.unsafe_get c.Circuit.kind_code gi with
-  | 0 (* Inv *) -> lnot (Array.unsafe_get words (Array.unsafe_get ins o))
-  | 1 (* Buf *) -> Array.unsafe_get words (Array.unsafe_get ins o)
-  | 2 (* Nand2 *) ->
-    lnot
-      (Array.unsafe_get words (Array.unsafe_get ins o)
-      land Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-  | 3 (* Nor2 *) ->
-    lnot
-      (Array.unsafe_get words (Array.unsafe_get ins o)
-      lor Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-  | 4 (* And2 *) ->
-    Array.unsafe_get words (Array.unsafe_get ins o)
-    land Array.unsafe_get words (Array.unsafe_get ins (o + 1))
-  | 5 (* Or2 *) ->
-    Array.unsafe_get words (Array.unsafe_get ins o)
-    lor Array.unsafe_get words (Array.unsafe_get ins (o + 1))
-  | 6 (* Xor2 *) ->
-    Array.unsafe_get words (Array.unsafe_get ins o)
-    lxor Array.unsafe_get words (Array.unsafe_get ins (o + 1))
-  | 7 (* Xnor2 *) ->
-    lnot
-      (Array.unsafe_get words (Array.unsafe_get ins o)
-      lxor Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-  | 8 (* Mux2 *) ->
-    let s = Array.unsafe_get words (Array.unsafe_get ins o) in
-    (s land Array.unsafe_get words (Array.unsafe_get ins (o + 2)))
-    lor (lnot s land Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-  | 9 (* Aoi21 *) ->
-    lnot
-      ((Array.unsafe_get words (Array.unsafe_get ins o)
-       land Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-      lor Array.unsafe_get words (Array.unsafe_get ins (o + 2)))
-  | _ (* Oai21 *) ->
-    lnot
-      ((Array.unsafe_get words (Array.unsafe_get ins o)
-       lor Array.unsafe_get words (Array.unsafe_get ins (o + 1)))
-      land Array.unsafe_get words (Array.unsafe_get ins (o + 2)))
-
-(* The same word functions over explicit operand words, for callers that
-   track input state locally instead of in a per-net array (the packed
-   DTA's waveform walk). Unused operands are ignored. *)
-let eval_code code a b c =
-  match code with
-  | 0 (* Inv *) -> lnot a
-  | 1 (* Buf *) -> a
-  | 2 (* Nand2 *) -> lnot (a land b)
-  | 3 (* Nor2 *) -> lnot (a lor b)
-  | 4 (* And2 *) -> a land b
-  | 5 (* Or2 *) -> a lor b
-  | 6 (* Xor2 *) -> a lxor b
-  | 7 (* Xnor2 *) -> lnot (a lxor b)
-  | 8 (* Mux2 *) -> (a land c) lor (lnot a land b)
-  | 9 (* Aoi21 *) -> lnot ((a land b) lor c)
-  | _ (* Oai21 *) -> lnot ((a lor b) land c)
 
 (* Full functional pass over the compiled schedule. Each arm hoists the
    segment's kind out of the loop; the loop bodies index only flat int

@@ -6,18 +6,13 @@
     walking the compiled [(level, kind)] schedule that
     {!Circuit.freeze} builds. The packed timing engine
     ([Sfi_timing.Dta_packed]) keeps its net state in exactly this
-    representation, so the two share the pack/unpack and per-gate word
+    representation, so the two share the pack/unpack and levelized
     evaluation defined here. *)
 
 open Sfi_util
 
 val lanes : int
 (** Trials per word: [Sys.int_size], i.e. 63 on 64-bit native targets. *)
-
-val available : unit -> bool
-(** Whether this target carries the full 63 lanes per word. The packed
-    engines are only validated (and only worth using) at that width;
-    callers fall back to the scalar kernels when this is [false]. *)
 
 val full_mask : int
 (** All {!lanes} bits set. *)
@@ -28,17 +23,6 @@ val lane_mask : active:int -> int
 val make_words : Circuit.t -> int array
 (** A fresh per-net word array: everything 0 except the constant-true
     net, which is all-ones. *)
-
-val eval_code : int -> int -> int -> int -> int
-(** [eval_code code a b c]: the word function of kind code [code] applied
-    to explicit operand words (arguments beyond the kind's arity are
-    ignored; for MUX2 [a] is the select). For callers that keep input
-    state in locals rather than a per-net array. *)
-
-val eval_gate_word : Circuit.t -> int array -> int -> int
-(** [eval_gate_word c words gi] is gate [gi]'s output word over the
-    current net [words] — all lanes at once, no allocation. The word
-    transcription of {!Circuit.eval_gate}. *)
 
 val eval_levels : Circuit.t -> int array -> unit
 (** Full functional pass: propagates [words] through every gate via the

@@ -1,8 +1,8 @@
 (** Zero-delay functional simulation of a frozen circuit.
 
     Used to validate the generated datapaths against their arithmetic
-    specification and as the reference for the delay-annotated simulator in
-    [Sfi_timing.Dta]. *)
+    specification and as the reference for the delay-annotated
+    simulators ([Sfi_timing.Dta_packed] and the scalar test oracle). *)
 
 type t
 

@@ -302,15 +302,7 @@ let dls_key =
       Mutex.protect lock (fun () -> shards := s :: !shards);
       s)
 
-let env_enabled () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "SFI_OBS") with
-  | None | Some ("" | "0" | "false" | "off" | "no") -> false
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some s ->
-    invalid_arg
-      (Printf.sprintf "SFI_OBS=%S: expected 1/true/on/yes, 0/false/off/no or empty" s)
-
-let enabled_ref = ref (env_enabled ())
+let enabled_ref = ref false
 
 let enabled () = !enabled_ref
 
@@ -370,8 +362,6 @@ let reset () =
   Mutex.protect lock (fun () ->
       Array.fill base.cells 0 (Array.length base.cells) 0;
       List.iter (fun s -> Array.fill s.cells 0 (Array.length s.cells) 0) !shards)
-
-let shard_count () = Mutex.protect lock (fun () -> List.length !shards)
 
 (* ---------- metric front-ends ---------- *)
 

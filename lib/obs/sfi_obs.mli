@@ -10,9 +10,10 @@
     (pool steal counts, wall-time spans) are tagged [det = false] and
     excluded from {!det_signature}.
 
-    Disabled (the default unless [SFI_OBS=1]), every increment is a
-    single flag test; enabled, it is an allocation-free int-array
-    read-modify-write, safe inside the zero-allocation DTA drain. *)
+    Disabled (the default; {!set_enabled} turns recording on), every
+    increment is a single flag test; enabled, it is an allocation-free
+    int-array read-modify-write, safe inside the zero-allocation DTA
+    drain. *)
 
 (** Minimal JSON reader/writer (no dependencies) used for the JSONL
     snapshot format and the golden-file tests. *)
@@ -42,13 +43,8 @@ module Json : sig
 end
 
 val enabled : unit -> bool
-(** Whether metrics are being recorded. Initially {!env_enabled}. *)
-
-val env_enabled : unit -> bool
-(** The [SFI_OBS] environment variable: [true] for ["1"], ["true"],
-    ["on"] or ["yes"]; [false] when unset, empty, ["0"], ["false"],
-    ["off"] or ["no"] (case-insensitive). Any other value raises
-    [Invalid_argument] naming the variable and the accepted values. *)
+(** Whether metrics are being recorded. Initially [false]; the CLI's
+    [--obs] turns recording on. *)
 
 val set_enabled : bool -> unit
 
@@ -111,9 +107,6 @@ val retire_current_domain : unit -> unit
 
 val reset : unit -> unit
 (** Zeroes every shard and the retained base (registrations remain). *)
-
-val shard_count : unit -> int
-(** Live (unretired) shards; for tests. *)
 
 type value =
   | Counter_v of int

@@ -73,6 +73,3 @@ let equal_range a b ~pos ~len =
   go 0
 
 let read_u32_array t ~addr ~count = Array.init count (fun i -> read_u32 t (addr + (4 * i)))
-
-let write_u32_array t ~addr values =
-  Array.iteri (fun i v -> write_u32 t (addr + (4 * i)) v) values

@@ -24,8 +24,6 @@ let uniform8 =
     sample = (fun rng -> (Rng.bits32 rng land 0xFF, Rng.bits32 rng land 0xFF));
   }
 
-type engine = Auto | Scalar
-
 let obs_runs = Sfi_obs.Counter.make "characterize.runs"
 
 (* One trial = one randomized-operand DTA cycle. [classes] and [trials]
@@ -43,14 +41,10 @@ let obs_wall = Sfi_obs.Span.make "characterize.wall"
 (* Packed-kernel utilization: [bitsim.lanes] sums the active lanes over
    [bitsim.batches] packed sweeps (their ratio against Bitsim.lanes is
    the fill factor; only the final partial batch of a class dilutes it).
-   [bitsim.fallbacks] counts [Auto] requests served by the scalar
-   kernel because the target lacks 63-bit words. All cache-dependent
-   work counts, hence ~det:false like the dta.* family. *)
+   Cache-dependent work counts, hence ~det:false. *)
 let obs_batches = Sfi_obs.Counter.make ~det:false "bitsim.batches"
 
 let obs_lanes = Sfi_obs.Counter.make ~det:false "bitsim.lanes"
-
-let obs_fallbacks = Sfi_obs.Counter.make ~det:false "bitsim.fallbacks"
 
 type class_db = {
   cls : Op_class.t;
@@ -68,66 +62,11 @@ type t = {
   max_settle : float;
 }
 
-let functional_mismatch cls a b got expect =
-  failwith
-    (Printf.sprintf
-       "Characterize: DTA functional mismatch for %s a=%08x b=%08x: got %08x expected %08x"
-       (Op_class.name cls) a b got expect)
+(* One class on the packed kernel: ⌈cycles/lanes⌉ sweeps of
+   [Bitsim.lanes] trials.
 
-(* Shared tail of both kernels: one transpose pass over [cycle_arrivals]
-   fills every endpoint's sample column, and [Cdf.of_samples_owned]
-   sorts each column in place — instead of allocating (and then copying
-   again) a fresh cycles-long array per endpoint. *)
-let finish ~(profile : operand_profile) cls cycle_arrivals max_settle =
-  let cycles = Array.length cycle_arrivals in
-  let width = Alu.width in
-  let cols = Array.init width (fun _ -> Array.make cycles 0.) in
-  for k = 0 to cycles - 1 do
-    let row = cycle_arrivals.(k) in
-    for e = 0 to width - 1 do
-      cols.(e).(k) <- row.(e)
-    done
-  done;
-  {
-    cls;
-    profile_name = profile.profile_name;
-    endpoint_cdfs = Array.map Cdf.of_samples_owned cols;
-    cycle_arrivals;
-    max_settle;
-  }
-
-let characterize_class_scalar ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t)
-    cls =
-  let dta = Dta.create ~vdd ~vdd_model ~lib alu.Alu.circuit in
-  (* Select the class once; the select settling cycle is not recorded. *)
-  Array.iter
-    (fun (c', net) -> Dta.set_input dta net (c' = cls))
-    alu.Alu.selects;
-  Dta.cycle dta;
-  let width = Alu.width in
-  let endpoints = alu.Alu.result in
-  let cycle_arrivals = Array.make_matrix cycles width 0. in
-  let max_settle = ref 0. in
-  for k = 0 to cycles - 1 do
-    let a, b = profile.sample rng in
-    Dta.set_input_vec dta alu.Alu.a a;
-    Dta.set_input_vec dta alu.Alu.b b;
-    Dta.cycle dta;
-    let got = Dta.read_vec dta endpoints in
-    let expect = Op_class.apply cls a b in
-    if got <> expect then functional_mismatch cls a b got expect;
-    let row = cycle_arrivals.(k) in
-    for e = 0 to width - 1 do
-      let s = Dta.settle_time dta endpoints.(e) in
-      row.(e) <- s;
-      if s > !max_settle then max_settle := s
-    done
-  done;
-  finish ~profile cls cycle_arrivals !max_settle
-
-(* The packed kernel: ⌈cycles/lanes⌉ sweeps of [Bitsim.lanes] trials.
-
-   The scalar kernel is a *chain* — trial [k]'s events are launched by
+   The reference scalar kernel (the test oracle: one event-driven DTA
+   cycle per trial) is a *chain* — trial [k]'s events are launched by
    the operand transition from trial [k-1]'s settled state. To replicate
    that chain lane-parallel, each sweep (1) samples its lane operands in
    plain index order, so the RNG stream is identical to the scalar
@@ -139,8 +78,9 @@ let characterize_class_scalar ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : 
    which plays out every lane's transition bit-identically to its
    scalar counterpart. Inactive lanes of the final partial sweep carry
    a = b = 0 on both sides of the transition and stay inert. *)
-let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t)
-    cls =
+let characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : Alu.t) cls =
+  Sfi_obs.Counter.incr obs_classes;
+  Sfi_obs.Counter.add obs_trials cycles;
   let lanes = Bitsim.lanes in
   let width = Alu.width in
   let endpoints = alu.Alu.result in
@@ -195,7 +135,12 @@ let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : 
     for l = 0 to active - 1 do
       let got = Dta_packed.read_lane_vec dta endpoints ~lane:l in
       let expect = Op_class.apply cls a_ops.(l) b_ops.(l) in
-      if got <> expect then functional_mismatch cls a_ops.(l) b_ops.(l) got expect;
+      if got <> expect then
+        failwith
+          (Printf.sprintf
+             "Characterize: DTA functional mismatch for %s a=%08x b=%08x: got %08x \
+              expected %08x"
+             (Op_class.name cls) a_ops.(l) b_ops.(l) got expect);
       let row = cycle_arrivals.(!k + l) in
       for e = 0 to width - 1 do
         let s = Dta_packed.settle_time dta endpoints.(e) ~lane:l in
@@ -207,24 +152,24 @@ let characterize_class_packed ~cycles ~rng ~vdd ~vdd_model ~lib ~profile (alu : 
     carry_b := b_ops.(active - 1);
     k := !k + active
   done;
-  finish ~profile cls cycle_arrivals !max_settle
-
-let characterize_class ~engine ~cycles ~rng ~vdd ~vdd_model ~lib ~profile alu cls =
-  Sfi_obs.Counter.incr obs_classes;
-  Sfi_obs.Counter.add obs_trials cycles;
-  let kernel =
-    match engine with
-    | Scalar -> characterize_class_scalar
-    | Auto ->
-      if Bitsim.available () then characterize_class_packed
-      else begin
-        (* Narrow native ints (32-bit / javascript targets): the packed
-           word layout is not validated there, serve scalar instead. *)
-        Sfi_obs.Counter.incr obs_fallbacks;
-        characterize_class_scalar
-      end
-  in
-  kernel ~cycles ~rng ~vdd ~vdd_model ~lib ~profile alu cls
+  (* One transpose pass over [cycle_arrivals] fills every endpoint's
+     sample column, and [Cdf.of_samples_owned] sorts each column in
+     place — instead of allocating (and then copying again) a fresh
+     cycles-long array per endpoint. *)
+  let cols = Array.init width (fun _ -> Array.make cycles 0.) in
+  for k = 0 to cycles - 1 do
+    let row = cycle_arrivals.(k) in
+    for e = 0 to width - 1 do
+      cols.(e).(k) <- row.(e)
+    done
+  done;
+  {
+    cls;
+    profile_name = profile.profile_name;
+    endpoint_cdfs = Array.map Cdf.of_samples_owned cols;
+    cycle_arrivals;
+    max_settle = !max_settle;
+  }
 
 (* Content fingerprint of everything the characterization result depends
    on. The circuit's [base_delay] array already folds in sizing, process
@@ -264,7 +209,7 @@ let fingerprint ~cycles ~seed ~setup_ps ~vdd_model ~lib
   List.iter (fun cls -> add_string fp (profile_for cls).profile_name) Op_class.all;
   hex fp
 
-let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu
+let compute ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu
     =
   let root = Rng.of_int seed in
   (* Split the per-class RNGs from the root seed in class order before
@@ -277,7 +222,7 @@ let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup
     Pool.using ?jobs (fun pool ->
         Pool.map pool
           (fun (cls, rng) ->
-            characterize_class ~engine ~cycles ~rng ~vdd ~vdd_model ~lib
+            characterize_class ~cycles ~rng ~vdd ~vdd_model ~lib
               ~profile:(profile_for cls) alu cls)
           (Array.of_list tagged))
   in
@@ -288,15 +233,12 @@ let compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup
 
 let run ?(cycles = 8000) ?(seed = 0xD7A) ?(setup_ps = Sta.default_setup_ps)
     ?(vdd_model = Vdd_model.default) ?(lib = Cell_lib.default)
-    ?(profile_for = fun _ -> uniform32) ?spec ?(engine = Auto) ~vdd (alu : Alu.t) =
+    ?(profile_for = fun _ -> uniform32) ?spec ~vdd (alu : Alu.t) =
   if cycles <= 0 then invalid_arg "Characterize.run: cycles must be positive";
-  (* The engine deliberately stays OUT of the cache fingerprint below:
-     both kernels produce bit-identical databases, so an entry written
-     under one engine must be served to the other. Of the spec only the
-     job count applies here: its trial policy, seed and checkpoint
-     describe Monte-Carlo campaigns — in particular the characterization
-     seed stays [?seed], keeping chardb cache fingerprints stable across
-     campaign-spec changes. *)
+  (* Of the spec only the job count applies here: its trial policy, seed
+     and checkpoint describe Monte-Carlo campaigns — in particular the
+     characterization seed stays [?seed], keeping chardb cache
+     fingerprints stable across campaign-spec changes. *)
   let jobs = Option.bind spec (fun (s : Spec.t) -> s.Spec.jobs) in
   Sfi_obs.Counter.incr obs_runs;
   Sfi_obs.Span.time obs_wall @@ fun () ->
@@ -307,8 +249,7 @@ let run ?(cycles = 8000) ?(seed = 0xD7A) ?(setup_ps = Sta.default_setup_ps)
       t.vdd = vdd && t.cycles = cycles
       && Array.length t.classes = List.length Op_class.all)
     (fun () ->
-      compute ~engine ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps
-        alu)
+      compute ~cycles ~seed ~vdd_model ~lib ~profile_for ?jobs ~vdd ~setup_ps alu)
 
 let class_db t cls = t.classes.(Op_class.index cls)
 

@@ -32,16 +32,6 @@ val uniform16 : operand_profile
 
 val uniform8 : operand_profile
 
-type engine =
-  | Auto
-      (** {!Dta_packed}, the production kernel: ⌈cycles/lanes⌉
-          bit-parallel sweeps producing a bit-identical database (same
-          RNG stream — lane operands are sampled in trial order — and
-          per-lane event times equal to the scalar kernel's). Falls back
-          to [Scalar], counted in the [bitsim.fallbacks] counter, when
-          {!Sfi_netlist.Bitsim.available} is false. *)
-  | Scalar  (** one {!Dta} cycle per trial: the test reference *)
-
 type class_db = {
   cls : Op_class.t;
   profile_name : string;
@@ -71,7 +61,6 @@ val run :
   ?lib:Cell_lib.t ->
   ?profile_for:(Op_class.t -> operand_profile) ->
   ?spec:Spec.t ->
-  ?engine:engine ->
   vdd:float ->
   Alu.t ->
   t
@@ -90,10 +79,11 @@ val run :
     chardb cache fingerprints do not depend on campaign specs);
     otherwise [Sfi_util.Pool.default_jobs ()].
 
-    [engine] (default [Auto]) picks the characterization kernel. Both engines produce bit-identical
-    databases, so the persistent-cache fingerprint does NOT include the
-    engine: a database written under one engine is a cache hit for the
-    other. *)
+    The kernel is {!Dta_packed}: ⌈cycles/lanes⌉ bit-parallel sweeps per
+    class. Its database is bit-identical to the scalar event-driven
+    kernel's (one DTA cycle per trial, same RNG stream — lane operands
+    are sampled in trial order), which the test suite keeps as its
+    oracle. *)
 
 val class_db : t -> Op_class.t -> class_db
 

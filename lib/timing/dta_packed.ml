@@ -11,9 +11,10 @@ open Sfi_netlist
    schedule of [Circuit.freeze] computes every waveform with plain
    linear merges — no global event heap at all. For each gate the walk
    performs exactly the distinct (gate, time) evaluations the scalar
-   event-driven [Dta] performs across all lanes, merged into one word
-   op each; gates whose inputs never toggle (the vast majority, under
-   operand-dependent switching) are skipped with a few array loads.
+   event-driven [Dta] (test/oracle) performs across all lanes, merged
+   into one word op each; gates whose inputs never toggle (the vast
+   majority, under operand-dependent switching) are skipped with a few
+   array loads.
 
    Per trigger instant [u] (an input transition in some lanes), the
    gate evaluates at [tau = u + delay] on the input values *at* [tau] —
@@ -466,8 +467,6 @@ let cycle t =
 
 let value t net ~lane = (t.words.(net) lsr lane) land 1 = 1
 
-let value_word t net = t.words.(net)
-
 let read_lane_vec t nets ~lane = Bitsim.read_lane t.words nets ~lane
 
 let settle_time t net ~lane =
@@ -477,7 +476,5 @@ let settle_time t net ~lane =
     if t.w_gen.(wi) = t.gen && (t.w_mask.(wi) lsr lane) land 1 = 1 then
       t.w_time.((wi * Bitsim.lanes) + lane) *. 0x1p32
     else 0.
-
-let words_evaluated t = t.words_evaled
 
 let lane_events t = t.lane_events

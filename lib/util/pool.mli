@@ -44,13 +44,8 @@ val parallel_init : t -> int -> (int -> 'a) -> 'a array
 
 val default_jobs : unit -> int
 (** Job count used when no explicit [~jobs] is given: the
-    {!set_default_jobs} override if set, else {!env_jobs}, else
+    {!set_default_jobs} override if set, else
     [Domain.recommended_domain_count ()]. *)
-
-val env_jobs : unit -> int option
-(** The [SFI_JOBS] environment variable: [None] when unset or empty, else
-    its value, which must be a positive integer — anything else raises
-    [Invalid_argument] naming the variable. *)
 
 val set_default_jobs : int -> unit
 (** Process-wide override of {!default_jobs} (e.g. from a [--jobs] CLI

@@ -1,5 +1,5 @@
-open Sfi_util
 open Sfi_netlist
+open Sfi_timing
 
 (* Hot-path representation notes.
 
@@ -38,10 +38,9 @@ type t = {
 (* Observability: the hot loops accumulate into the plain int fields
    above (one predictable add, no flag test); [cycle] flushes the deltas
    to the registry once per generation bump. All four counts are pure
-   functions of the stimulus — but how much stimulus the DTA sees at all
-   depends on whether the persistent characterization cache served the
-   caller from disk, so they count work performed, not work requested:
-   [~det:false], excluded from the determinism signature. *)
+   functions of the stimulus, but only reference runs produce them, so
+   they are [~det:false] like the packed kernel's [bitsim.*] counts:
+   linking the oracle never changes the determinism signature. *)
 let obs_events = Sfi_obs.Counter.make ~det:false "dta.events"
 
 let obs_settles = Sfi_obs.Counter.make ~det:false "dta.settles"
@@ -188,6 +187,3 @@ let read_vec t nets =
 
 let settle_time t net =
   if t.settle_gen.(net) = t.gen then t.settle.(net) *. 0x1p32 else 0.
-
-let check_against t logic nets =
-  Array.for_all (fun n -> value t n = Logic_sim.value logic n) nets

@@ -14,13 +14,14 @@
 
     The event kernel is allocation-free in steady state: event times are
     held as order-preserving integer encodings of their float values (see
-    {!Sfi_util.Min_heap}), per-cycle state is invalidated with generation
+    {!Min_heap}), per-cycle state is invalidated with generation
     stamps rather than O(n_nets) clears, and same-time evaluations of a
     gate whose several inputs toggle together are coalesced into one
     event. Settle times are bit-identical to the straightforward
     float-keyed implementation. *)
 
 open Sfi_netlist
+open Sfi_timing
 
 type t
 
@@ -48,7 +49,3 @@ val read_vec : t -> Circuit.net array -> int
 val settle_time : t -> Circuit.net -> float
 (** Time (ps) of the net's last transition during the most recent
     {!cycle}; [0.] if it did not toggle. *)
-
-val check_against : t -> Logic_sim.t -> Circuit.net array -> bool
-(** Debug helper: [true] when the DTA net values of the given nets agree
-    with a zero-delay simulation that was driven with the same inputs. *)

@@ -7,11 +7,11 @@
 open Sfi_util
 open Sfi_netlist
 open Sfi_timing
+open Sfi_oracle
 module B = Circuit.Builder
 
-(* Tests must exercise both engines for real: make sure no persistent
-   cache (engine-independent keys!) can serve one engine the other's
-   database. *)
+(* The production run must compute for real: no persistent cache may
+   serve it a stored database. *)
 let () = Sfi_cache.set_dir None
 
 (* ---------- compiled levelized schedule ---------- *)
@@ -206,71 +206,56 @@ let profile_for cls =
 let db_bytes (db : Characterize.t) = Marshal.to_string db []
 
 let test_packed_db_bit_identical () =
-  if not (Bitsim.available ()) then ()
-  else begin
-    let alu = Lazy.force sized_alu in
-    let run engine =
-      Characterize.run ~cycles:150 ~seed:97 ~profile_for ~engine ~vdd:0.7 alu
-    in
-    let scalar = run Characterize.Scalar in
-    let packed = run Characterize.Auto in
-    (* Bit-identity of the full database: every per-class CDF, the raw
-       cycle_arrivals matrices and the settle maxima, via the marshalled
-       bytes (floats compared representation-exact). *)
-    Alcotest.(check bool) "class_db bit-identical across engines" true
-      (db_bytes scalar = db_bytes packed);
-    (* And spot-check semantics, so a Marshal quirk could not hide a
-       real difference. *)
-    List.iter
-      (fun cls ->
-        let s = Characterize.class_db scalar cls in
-        let p = Characterize.class_db packed cls in
-        Alcotest.(check string) "profile" s.Characterize.profile_name
-          p.Characterize.profile_name;
-        Alcotest.(check bool) "max_settle" true
-          (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
-        Alcotest.(check bool) "cycle_arrivals" true
-          (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
-      Op_class.all
-  end
+  let alu = Lazy.force sized_alu in
+  let scalar = Scalar_characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
+  let packed = Characterize.run ~cycles:150 ~seed:97 ~profile_for ~vdd:0.7 alu in
+  (* Bit-identity of the full database: every per-class CDF, the raw
+     cycle_arrivals matrices and the settle maxima, via the marshalled
+     bytes (floats compared representation-exact). *)
+  Alcotest.(check bool) "class_db bit-identical across engines" true
+    (db_bytes scalar = db_bytes packed);
+  (* And spot-check semantics, so a Marshal quirk could not hide a
+     real difference. *)
+  List.iter
+    (fun cls ->
+      let s = Characterize.class_db scalar cls in
+      let p = Characterize.class_db packed cls in
+      Alcotest.(check string) "profile" s.Characterize.profile_name
+        p.Characterize.profile_name;
+      Alcotest.(check bool) "max_settle" true
+        (Float.equal s.Characterize.max_settle p.Characterize.max_settle);
+      Alcotest.(check bool) "cycle_arrivals" true
+        (s.Characterize.cycle_arrivals = p.Characterize.cycle_arrivals))
+    Op_class.all
 
 (* The packed kernel must survive a partial final sweep (cycles not a
    multiple of lanes is the common case) and a single-trial run. *)
 let test_packed_partial_batches () =
-  if not (Bitsim.available ()) then ()
-  else begin
-    let alu = Lazy.force sized_alu in
-    List.iter
-      (fun cycles ->
-        let run engine = Characterize.run ~cycles ~seed:5 ~engine ~vdd:0.7 alu in
-        Alcotest.(check bool)
-          (Printf.sprintf "bit-identical at %d cycles" cycles)
-          true
-          (db_bytes (run Characterize.Scalar) = db_bytes (run Characterize.Auto)))
-      [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
-  end
+  let alu = Lazy.force sized_alu in
+  List.iter
+    (fun cycles ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical at %d cycles" cycles)
+        true
+        (db_bytes (Scalar_characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)
+        = db_bytes (Characterize.run ~cycles ~seed:5 ~vdd:0.7 alu)))
+    [ 1; Bitsim.lanes; Bitsim.lanes + 1 ]
 
-(* Auto is the packed kernel where the platform has 63-bit words and a
-   counted scalar fallback elsewhere; either way its database equals the
-   scalar reference. *)
+(* A production run is served by the packed kernel (its sweeps are
+   counted) and its database equals the scalar reference. *)
 let test_auto_resolves () =
   let alu = Lazy.force sized_alu in
-  let run engine = Characterize.run ~cycles:80 ~seed:12 ~engine ~vdd:0.7 alu in
-  let counter name = Sfi_obs.Counter.make ~det:false name in
-  let batches = counter "bitsim.batches" and fallbacks = counter "bitsim.fallbacks" in
+  let batches = Sfi_obs.Counter.make ~det:false "bitsim.batches" in
   Sfi_obs.set_enabled true;
   Sfi_obs.reset ();
-  let auto =
-    Fun.protect ~finally:(fun () -> Sfi_obs.set_enabled false) (fun () -> run Characterize.Auto)
+  let packed =
+    Fun.protect
+      ~finally:(fun () -> Sfi_obs.set_enabled false)
+      (fun () -> Characterize.run ~cycles:80 ~seed:12 ~vdd:0.7 alu)
   in
-  if Bitsim.available () then begin
-    Alcotest.(check bool) "auto ran packed sweeps" true (Sfi_obs.Counter.value batches > 0);
-    Alcotest.(check int) "no scalar fallback" 0 (Sfi_obs.Counter.value fallbacks)
-  end
-  else
-    Alcotest.(check bool) "fallback counted" true (Sfi_obs.Counter.value fallbacks > 0);
-  Alcotest.(check bool) "auto equals scalar reference" true
-    (db_bytes auto = db_bytes (run Characterize.Scalar))
+  Alcotest.(check bool) "ran packed sweeps" true (Sfi_obs.Counter.value batches > 0);
+  Alcotest.(check bool) "equals scalar reference" true
+    (db_bytes packed = db_bytes (Scalar_characterize.run ~cycles:80 ~seed:12 ~vdd:0.7 alu))
 
 let () =
   Alcotest.run "sfi_bitsim"

@@ -9,9 +9,6 @@
 open Sfi_timing
 open Sfi_core
 
-(* Isolate from any ambient SFI_CACHE_DIR and record counters. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let counter name = Sfi_obs.Counter.make ~det:false name
@@ -132,6 +129,17 @@ let test_roundtrip () =
   Alcotest.(check string) "entry namespace" "ns" e.Sfi_cache.namespace;
   Alcotest.(check string) "entry key" "k1" e.Sfi_cache.key;
   Alcotest.(check bool) "entry valid" true e.Sfi_cache.valid
+
+(* The library reads no environment: an exported SFI_CACHE_DIR (which
+   only the CLI maps onto --cache-dir) cannot re-enable caching after
+   [set_dir None]. *)
+let test_set_dir_none_ignores_env () =
+  let saved = Option.value (Sys.getenv_opt "SFI_CACHE_DIR") ~default:"" in
+  Unix.putenv "SFI_CACHE_DIR" (Filename.get_temp_dir_name ());
+  Fun.protect ~finally:(fun () -> Unix.putenv "SFI_CACHE_DIR" saved) @@ fun () ->
+  Sfi_cache.set_dir None;
+  Alcotest.(check bool) "caching off" false (Sfi_cache.enabled ());
+  Alcotest.(check (option string)) "no directory" None (Sfi_cache.dir ())
 
 let test_disabled_noop () =
   Sfi_cache.set_dir None;
@@ -303,20 +311,6 @@ let test_characterize_corrupt_recompute () =
   (* The recompute re-stored a valid entry. *)
   Alcotest.(check bool) "entry rewritten valid" true (the_entry dir).Sfi_cache.valid
 
-(* The chardb fingerprint leaves the engine out (both kernels produce
-   bit-identical databases), so an entry written by the scalar reference
-   serves a production run without a single characterization trial. *)
-let test_characterize_scalar_serves_auto () =
-  with_temp_cache @@ fun _dir ->
-  let alu = Sfi_netlist.Alu.build () in
-  let run engine = Characterize.run ~cycles:40 ~seed:11 ~spec:one_job ~engine ~vdd:0.7 alu in
-  let scalar = run Characterize.Scalar in
-  Sfi_obs.reset ();
-  let auto = run Characterize.Auto in
-  Alcotest.(check bool) "auto db equals the scalar entry" true (compare scalar auto = 0);
-  Alcotest.(check int) "auto run performed zero trials" 0 (value c_trials);
-  Alcotest.(check int) "auto run hit the cache" 1 (value c_hits)
-
 (* ---------- end-to-end: flow + campaign, cold vs warm ---------- *)
 
 let test_campaign_cold_warm () =
@@ -386,6 +380,8 @@ let () =
       ( "entries",
         [
           Alcotest.test_case "store/load round-trip" `Quick test_roundtrip;
+          Alcotest.test_case "set_dir None ignores SFI_CACHE_DIR" `Quick
+            test_set_dir_none_ignores_env;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "memo key and validity" `Quick test_memo_key_and_validity;
           Alcotest.test_case "corruption rejected" `Quick test_corruption_rejected;
@@ -400,8 +396,6 @@ let () =
             test_characterize_cold_warm;
           Alcotest.test_case "characterize corrupt entry recomputed" `Quick
             test_characterize_corrupt_recompute;
-          Alcotest.test_case "characterize scalar entry serves auto" `Quick
-            test_characterize_scalar_serves_auto;
           Alcotest.test_case "campaign cold/warm bit-identical" `Quick
             test_campaign_cold_warm;
           Alcotest.test_case "reference cycles shared on disk" `Quick

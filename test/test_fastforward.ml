@@ -20,9 +20,6 @@ open Sfi_kernels
 open Sfi_fi
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache environment. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let c_elided = Sfi_obs.Counter.make ~det:false "fastforward.trials_elided"

@@ -225,25 +225,6 @@ let test_counter_add_allocation_free () =
       true (dw < 16.)
   | Sys.Bytecode | Sys.Other _ -> ()
 
-(* SFI_OBS accepts the listed spellings and rejects anything else loudly
-   instead of silently leaving observability off. *)
-let test_env_enabled () =
-  let saved = Option.value (Sys.getenv_opt "SFI_OBS") ~default:"" in
-  let with_env v f =
-    Unix.putenv "SFI_OBS" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "SFI_OBS" saved) f
-  in
-  List.iter
-    (fun (v, expect) ->
-      with_env v (fun () -> Alcotest.(check bool) v expect (Sfi_obs.env_enabled ())))
-    [ ("1", true); ("on", true); ("YES", true); ("", false); ("0", false); ("off", false) ];
-  with_env "enable" (fun () ->
-      match Sfi_obs.env_enabled () with
-      | _ -> Alcotest.fail "SFI_OBS=enable accepted"
-      | exception Invalid_argument msg ->
-        Alcotest.(check string) "message"
-          "SFI_OBS=\"enable\": expected 1/true/on/yes, 0/false/off/no or empty" msg)
-
 let () =
   let t name f = Alcotest.test_case name `Quick (with_obs f) in
   Alcotest.run "sfi_obs"
@@ -266,7 +247,6 @@ let () =
           t "merge survives pool reuse" test_pool_merge_survives_reuse;
         ] );
       ("reset", [ t "zeroes and stays usable" test_reset_zeroes ]);
-      ("env", [ t "SFI_OBS validated" test_env_enabled ]);
       ( "json",
         [
           t "parse roundtrip" test_json_parse_roundtrip;

@@ -4,6 +4,7 @@
    runs a few hundred random cases against it. *)
 
 open Sfi_util
+open Sfi_oracle
 
 (* ---------- Min_heap: pop order vs sorted reference ---------- *)
 

@@ -26,9 +26,6 @@ open Sfi_fi
 module Json = Sfi_obs.Json
 module Spec = Campaign.Spec
 
-(* Isolate from any ambient cache environment. *)
-let () = Unix.putenv "SFI_CACHE_DIR" ""
-
 let () = Sfi_obs.set_enabled true
 
 let c_unsupported = Sfi_obs.Counter.make ~det:false "fastforward.model_unsupported"

@@ -1,6 +1,7 @@
 open Sfi_util
 open Sfi_netlist
 open Sfi_timing
+open Sfi_oracle
 module B = Circuit.Builder
 
 let check_float = Alcotest.(check (float 1e-6))

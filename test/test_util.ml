@@ -390,33 +390,6 @@ let test_pool_default_jobs_override () =
       Alcotest.(check int) "override wins" 3 (Pool.default_jobs ());
       Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1))
 
-(* A malformed SFI_JOBS fails loudly, naming the variable and the
-   accepted form; empty counts as unset. *)
-let test_pool_env_jobs () =
-  let saved = Option.value (Sys.getenv_opt "SFI_JOBS") ~default:"" in
-  let with_env v f =
-    Unix.putenv "SFI_JOBS" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "SFI_JOBS" saved) f
-  in
-  let mentions msg sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
-    go 0
-  in
-  with_env " 3 " (fun () -> Alcotest.(check (option int)) "valid" (Some 3) (Pool.env_jobs ()));
-  with_env "" (fun () -> Alcotest.(check (option int)) "empty is unset" None (Pool.env_jobs ()));
-  List.iter
-    (fun v ->
-      with_env v (fun () ->
-          match Pool.env_jobs () with
-          | r ->
-            Alcotest.failf "SFI_JOBS=%S accepted as %s" v
-              (Option.fold ~none:"unset" ~some:string_of_int r)
-          | exception Invalid_argument msg ->
-            Alcotest.(check bool) ("message for " ^ v) true
-              (mentions msg "SFI_JOBS" && mentions msg "positive integer")))
-    [ "four"; "0"; "-2"; "2.5" ]
-
 (* ---------- Property tests ---------- *)
 
 let prop_u32_mul_matches_int64 =
@@ -541,7 +514,6 @@ let () =
           Alcotest.test_case "parallel_init empty" `Quick test_pool_parallel_init_empty;
           Alcotest.test_case "map_list" `Quick test_pool_map_list;
           Alcotest.test_case "default jobs override" `Quick test_pool_default_jobs_override;
-          Alcotest.test_case "SFI_JOBS validated" `Quick test_pool_env_jobs;
         ] );
       ( "op_class",
         [
